@@ -26,7 +26,7 @@ TASKS = [
     ("Designing the operator class framework.",
      "high", None, ["server/opclass.py"]),
     ("Writing access method purpose functions.",
-     "high", 1020, ["datablade/blade.py"]),
+     "high", 1020, ["datablade/blade.py", "datablade/kit.py"]),
     ("Writing BLOB manipulation functions.",
      "average", 280, ["datablade/blob.py"]),
     ("Writing functions manipulating the qualification descriptor.",

@@ -29,7 +29,7 @@ def main() -> None:
     print("\nSteps 1-4: the BladeSmith-generated registration script")
     print("(data type, CREATE FUNCTIONs, CREATE SECONDARY ACCESS_METHOD,")
     print("CREATE OPCLASS), run by the BladeManager stand-in:\n")
-    script = generate_register_script(GRTreeDataBlade.LIBRARY_PATH)
+    script = generate_register_script(GRTreeDataBlade)
     for line in script.splitlines()[:14]:
         print("  " + line)
     print("  ... (%d statements total)\n" % script.count(";"))
@@ -69,7 +69,7 @@ def main() -> None:
     print("\nSELECT returned:", [r["name"] for r in rows])
 
     print("\nThe matching unregistration script begins:")
-    for line in generate_unregister_script().splitlines()[:4]:
+    for line in generate_unregister_script(GRTreeDataBlade).splitlines()[:4]:
         print("  " + line)
 
 

@@ -13,31 +13,21 @@ comparator UDR receives the *decoded* values.
 
 from __future__ import annotations
 
-import struct
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 from repro.btree.node import BTreeNodeStore
 from repro.btree.tree import BPlusTree
-from repro.datablade.blob import BladeBlob
-from repro.server.access_method import (
-    BooleanOperator,
-    CompoundQualification,
-    IndexDescriptor,
-    Qualification,
-    RowReference,
-    ScanDescriptor,
-    SimpleQualification,
-)
+from repro.datablade.bladesmith import OpclassDefinition
+from repro.datablade.kit import AccessMethodBlade, load_root, save_root
+from repro.server.access_method import IndexDescriptor, SimpleQualification
 from repro.server.errors import AccessMethodError
-from repro.storage.buffer import BufferPool
-from repro.storage.sbspace import LargeObjectHandle, OpenMode
 
-_META = struct.Struct("<4sqqq")
-_META_MAGIC = b"BTB1"
+#: Types with binary send/receive and a natural comparison.
+INDEXABLE_TYPES = ("INTEGER", "FLOAT", "DATE", "LVARCHAR")
 
 #: Strategy name -> (low, high, low_inclusive, high_inclusive) template,
 #: with `K` standing for the constant key.
-_RANGES = {
+RANGES = {
     "equal": ("K", "K", True, True),
     "greaterthan": ("K", None, False, True),
     "greaterthanorequal": ("K", None, True, True),
@@ -47,7 +37,7 @@ _RANGES = {
 
 #: Commuted strategy when the constant is the first argument:
 #: GreaterThan(c, col) means col < c, and so on.
-_COMMUTED = {
+COMMUTED = {
     "equal": "equal",
     "greaterthan": "lessthan",
     "greaterthanorequal": "lessthanorequal",
@@ -56,351 +46,162 @@ _COMMUTED = {
 }
 
 
-class BTreeDataBlade:
+def natural(a, b) -> int:
+    return (a > b) - (a < b)
+
+
+def comparison_udrs(prefix: str) -> Dict[str, Callable]:
+    """The five comparison strategies and the comparator, as the
+    library symbols ``<prefix>_equal_udr`` ... ``<prefix>_compare_udr``."""
+    return {
+        f"{prefix}_equal_udr": lambda a, b: natural(a, b) == 0,
+        f"{prefix}_gt_udr": lambda a, b: natural(a, b) > 0,
+        f"{prefix}_ge_udr": lambda a, b: natural(a, b) >= 0,
+        f"{prefix}_lt_udr": lambda a, b: natural(a, b) < 0,
+        f"{prefix}_le_udr": lambda a, b: natural(a, b) <= 0,
+        f"{prefix}_compare_udr": natural,
+    }
+
+
+def comparison_strategies(prefix: str) -> Tuple[Tuple[str, str], ...]:
+    """(SQL name, symbol) of the strategies :func:`comparison_udrs` serves."""
+    sql, symbol = prefix.upper(), prefix.lower()
+    return (
+        (f"{sql}_Equal", f"{symbol}_equal_udr"),
+        (f"{sql}_GreaterThan", f"{symbol}_gt_udr"),
+        (f"{sql}_GreaterThanOrEqual", f"{symbol}_ge_udr"),
+        (f"{sql}_LessThan", f"{symbol}_lt_udr"),
+        (f"{sql}_LessThanOrEqual", f"{symbol}_le_udr"),
+    )
+
+
+def range_bounds(tree: BPlusTree, branch: List[Tuple[str, Any]], encode):
+    """Intersect the branch's range predicates into one interval of
+    encoded keys."""
+    low = high = None
+    low_inc = high_inc = True
+    for name, constant in branch:
+        key = encode(constant)
+        t_low, t_high, t_low_inc, t_high_inc = RANGES[name]
+        if t_low == "K":
+            if low is None or tree.compare(key, low) > 0 or (
+                tree.compare(key, low) == 0 and not t_low_inc
+            ):
+                low, low_inc = key, t_low_inc
+        if t_high == "K":
+            if high is None or tree.compare(key, high) < 0 or (
+                tree.compare(key, high) == 0 and not t_high_inc
+            ):
+                high, high_inc = key, t_high_inc
+    return low, high, low_inc, high_inc
+
+
+class BTreeDataBlade(AccessMethodBlade):
+    PREFIX = "bt"
     LIBRARY_PATH = "usr/functions/btree.bld"
     AM_NAME = "btree_am"
-    OPCLASS_NAME = "btree_ops"
     METADATA_TABLE = "btree_indexdata"
-
-    def __init__(self, server, buffer_capacity: int = 64) -> None:
-        self.server = server
-        self.buffer_capacity = buffer_capacity
+    OPCLASSES = (
+        OpclassDefinition(
+            "btree_ops",
+            INDEXABLE_TYPES,
+            strategies=comparison_strategies("BT"),
+            supports=(("Compare", "bt_compare_udr", "int", 2),),
+        ),
+    )
+    COMMUTATORS = (
+        ("BT_GreaterThan", "BT_LessThanOrEqual"),
+        ("BT_LessThanOrEqual", "BT_GreaterThan"),
+    )
+    NEGATORS = (("BT_Equal", "BT_NotEqual"),)
+    MAGIC = b"BTB1"
 
     # ------------------------------------------------------------------
-    # Key codec and dynamic comparator resolution
+    # Key codec and dynamic support resolution (Step 4)
     # ------------------------------------------------------------------
 
     def _key_type(self, td: IndexDescriptor):
         return self.server.catalog.types.get(td.column_types[0])
 
-    def _comparator(self, td: IndexDescriptor):
-        """Resolve the opclass's Compare support function dynamically --
-        the non-hard-coded design of Section 5.2."""
+    def _support(self, td: IndexDescriptor, needle: str, arity: int):
+        """The opclass's support function whose name contains *needle*,
+        over encoded keys -- resolved dynamically at every call, the
+        non-hard-coded design of Section 5.2."""
         opclass = self.server.catalog.opclasses.get(td.opclass_names[0])
-        compare_name = None
         for name in opclass.supports:
-            if "compare" in name.lower():
-                compare_name = name
+            if needle in name.lower():
                 break
-        if compare_name is None:
+        else:
             raise AccessMethodError(
-                f"operator class {opclass.name} declares no Compare support"
+                f"operator class {opclass.name} declares no {needle} support"
             )
         key_type = self._key_type(td)
-        type_name = key_type.name
+        arg_types = (key_type.name,) * arity
         routines = self.server.catalog.routines
 
-        def compare(a: bytes, b: bytes) -> int:
-            routine = routines.resolve(compare_name, (type_name, type_name))
+        def support(*keys: bytes):
+            routine = routines.resolve(name, arg_types)
             routines.invocations += 1
-            return routine(key_type.receive(a), key_type.receive(b))
+            return routine(*map(key_type.receive, keys))
 
-        return compare
+        return support
+
+    def encode(self, td: IndexDescriptor, value: Any) -> bytes:
+        return self._key_type(td).send(value)
+
+    def decode(self, td: IndexDescriptor, key: bytes) -> Any:
+        return self._key_type(td).receive(key)
 
     # ------------------------------------------------------------------
-    # Purpose functions
+    # Hooks
     # ------------------------------------------------------------------
 
-    def bt_create(self, td: IndexDescriptor) -> int:
-        if len(td.columns) != 1:
-            raise AccessMethodError(f"{self.AM_NAME} indexes exactly one column")
-        space = self.server.get_sbspace(td.space_name)
-        blob = BladeBlob.create(space)
-        self.server.catalog.get_table(self.METADATA_TABLE).insert_row(
-            {"indexname": td.index_name, "blobhandle": blob.handle.value}
+    def validate(self, td: IndexDescriptor) -> None:
+        super().validate(td)
+        self._support(td, "compare", 2)
+
+    def _open_tree(self, td, pool, fresh: bool) -> BPlusTree:
+        return BPlusTree(
+            BTreeNodeStore(pool),
+            self._support(td, "compare", 2),
+            **load_root(pool, self.MAGIC, fresh, td.index_name),
         )
-        blob.open(td.session, OpenMode.WRITE)
-        pool = BufferPool(blob.page_store(), capacity=self.buffer_capacity)
-        meta_page = pool.allocate()
-        tree = BPlusTree(BTreeNodeStore(pool), self._comparator(td))
-        td.user_data.update(
-            {"tree": tree, "blob": blob, "pool": pool, "meta_page": meta_page}
-        )
-        return 0
 
-    def bt_open(self, td: IndexDescriptor) -> int:
-        if "tree" in td.user_data:
-            return 0
-        meta_table = self.server.catalog.get_table(self.METADATA_TABLE)
-        handle_text = None
-        for _, row in meta_table.scan():
-            if row["indexname"] == td.index_name:
-                handle_text = row["blobhandle"]
-                break
-        if handle_text is None:
-            raise AccessMethodError(f"no metadata for index {td.index_name}")
-        space = self.server.get_sbspace(td.space_name)
-        blob = BladeBlob(space, LargeObjectHandle(handle_text))
-        blob.open(td.session, OpenMode.READ)
-        pool = BufferPool(blob.page_store(), capacity=self.buffer_capacity)
-        magic, root_id, height, size = _META.unpack_from(pool.read(0), 0)
-        if magic != _META_MAGIC:
-            raise AccessMethodError(f"index {td.index_name} storage is corrupt")
-        tree = BPlusTree(
-            BTreeNodeStore(pool), self._comparator(td),
-            root_id=root_id, height=height, size=size,
-        )
-        td.user_data.update(
-            {"tree": tree, "blob": blob, "pool": pool, "meta_page": 0}
-        )
-        return 0
+    def build(self, td, pools, meta, options, obs) -> Dict[str, Any]:
+        return {"tree": self._open_tree(td, pools["blob"], meta is None)}
 
-    def bt_close(self, td: IndexDescriptor) -> int:
-        tree: BPlusTree = td.user_data["tree"]
-        pool: BufferPool = td.user_data["pool"]
-        blob: BladeBlob = td.user_data["blob"]
-        if blob._open_mode is OpenMode.WRITE:
-            pool.write(
-                td.user_data["meta_page"],
-                _META.pack(_META_MAGIC, tree.root_id, tree.height, tree.size),
-            )
-        pool.flush()
-        blob.close()
-        td.user_data.clear()
-        return 0
+    def save(self, td: IndexDescriptor) -> None:
+        save_root(td.user_data["pools"]["blob"], self.MAGIC, td.user_data["tree"])
 
-    def bt_drop(self, td: IndexDescriptor) -> int:
-        if "tree" not in td.user_data:
-            self.bt_open(td)
-        td.user_data["blob"].drop()
-        td.user_data.clear()
-        meta_table = self.server.catalog.get_table(self.METADATA_TABLE)
-        for rowid, row in meta_table.scan():
-            if row["indexname"] == td.index_name:
-                meta_table.delete_row(rowid)
-                break
-        return 0
-
-    # -- scanning ------------------------------------------------------
-
-    def bt_beginscan(self, sd: ScanDescriptor) -> int:
-        if sd.qualification is None:
-            raise AccessMethodError("bt_beginscan needs a qualification")
-        tree: BPlusTree = sd.index.user_data["tree"]
-        key_type = self._key_type(sd.index)
-        branches = self._to_dnf(sd.qualification)
-        sd.user_data["scan"] = _BScan(tree, key_type, branches)
-        return 0
-
-    def bt_rescan(self, sd: ScanDescriptor) -> int:
-        sd.user_data["scan"].reset()
-        return 0
-
-    def bt_getnext(self, sd: ScanDescriptor) -> Optional[RowReference]:
-        return sd.user_data["scan"].next()
-
-    def bt_endscan(self, sd: ScanDescriptor) -> int:
-        sd.user_data.pop("scan", None)
-        return 0
-
-    # -- updates ----------------------------------------------------------
-
-    def bt_insert(self, td: IndexDescriptor, newrow, newrowid: int) -> int:
-        td.user_data["blob"].ensure_writable()
-        key = self._key_type(td).send(newrow[0])
-        td.user_data["tree"].insert(key, newrowid)
-        return 0
-
-    def bt_delete(self, td: IndexDescriptor, oldrow, oldrowid: int) -> int:
-        td.user_data["blob"].ensure_writable()
-        key = self._key_type(td).send(oldrow[0])
-        if not td.user_data["tree"].delete(key, oldrowid):
+    def leaf(self, td, qual: SimpleQualification) -> Tuple[str, Any]:
+        """(strategy, constant), the strategy commuted so that the
+        column is always its first argument."""
+        name = qual.function.lower()
+        if name.startswith(self.PREFIX + "_"):
+            name = name[len(self.PREFIX) + 1:]
+        if name not in RANGES:
             raise AccessMethodError(
-                f"index {td.index_name} has no entry for rowid {oldrowid}"
+                f"{qual.function} is not a {self.AM_NAME} strategy function"
             )
-        return 0
+        if qual.constant_first:
+            name = COMMUTED[name]
+        return name, qual.constant
 
-    def bt_update(self, td, oldrow, oldrowid: int, newrow, newrowid: int) -> int:
-        self.bt_delete(td, oldrow, oldrowid)
-        self.bt_insert(td, newrow, newrowid)
-        return 0
+    def probe(self, td, branch):
+        tree: BPlusTree = td.user_data["tree"]
+        bounds = range_bounds(tree, branch, lambda value: self.encode(td, value))
+        for key, rowid, fragid in tree.search_range(*bounds):
+            yield rowid, fragid, key
 
-    def bt_scancost(self, sd: ScanDescriptor) -> float:
-        tree = sd.index.user_data.get("tree")
-        height = tree.height if tree is not None else 2
-        return float(height + len(self._to_dnf(sd.qualification)))
+    def cost(self, td, structures, branches) -> float:
+        return structures["tree"].height + len(branches)
 
-    def bt_stats(self, td: IndexDescriptor) -> Dict[str, float]:
-        return td.user_data["tree"].stats()
-
-    def bt_check(self, td: IndexDescriptor) -> int:
-        try:
-            td.user_data["tree"].check()
-        except AssertionError as exc:
-            raise AccessMethodError(f"index {td.index_name} corrupt: {exc}") from exc
-        return 0
-
-    # -- qualification handling ------------------------------------------
-
-    def _to_dnf(self, qual: Qualification):
-        if isinstance(qual, SimpleQualification):
-            name = qual.function.lower()
-            if name.startswith("bt_"):
-                name = name[3:]
-            if name not in _RANGES:
-                raise AccessMethodError(
-                    f"{qual.function} is not a B+-tree strategy function"
-                )
-            if qual.constant_first:
-                name = _COMMUTED[name]
-            return [[(name, qual.constant)]]
-        assert isinstance(qual, CompoundQualification)
-        child_dnfs = [self._to_dnf(c) for c in qual.children]
-        if qual.operator is BooleanOperator.OR:
-            return [branch for dnf in child_dnfs for branch in dnf]
-        result = [[]]
-        for dnf in child_dnfs:
-            result = [prefix + branch for prefix in result for branch in dnf]
-        return result
-
-    # ------------------------------------------------------------------
-
-    def exports(self) -> Dict[str, Any]:
-        purpose = {
-            "bt_create": self.bt_create,
-            "bt_drop": self.bt_drop,
-            "bt_open": self.bt_open,
-            "bt_close": self.bt_close,
-            "bt_beginscan": self.bt_beginscan,
-            "bt_endscan": self.bt_endscan,
-            "bt_rescan": self.bt_rescan,
-            "bt_getnext": self.bt_getnext,
-            "bt_insert": self.bt_insert,
-            "bt_delete": self.bt_delete,
-            "bt_update": self.bt_update,
-            "bt_scancost": self.bt_scancost,
-            "bt_stats": self.bt_stats,
-            "bt_check": self.bt_check,
-        }
-        strategies = {
-            "bt_equal_udr": lambda a, b: _natural(a, b) == 0,
-            "bt_gt_udr": lambda a, b: _natural(a, b) > 0,
-            "bt_ge_udr": lambda a, b: _natural(a, b) >= 0,
-            "bt_lt_udr": lambda a, b: _natural(a, b) < 0,
-            "bt_le_udr": lambda a, b: _natural(a, b) <= 0,
-            "bt_compare_udr": _natural,
-        }
-        return {**purpose, **strategies}
+    def udrs(self) -> Dict[str, Callable]:
+        return comparison_udrs(self.PREFIX)
 
 
-def _natural(a, b) -> int:
-    return (a > b) - (a < b)
-
-
-class _BScan:
-    """DNF scan over the B+-tree with cross-branch de-duplication."""
-
-    def __init__(self, tree: BPlusTree, key_type, branches) -> None:
-        self.tree = tree
-        self.key_type = key_type
-        self.branches = branches
-        self.reset()
-
-    def _bounds(self, branch):
-        """Intersect the branch's range predicates into one interval."""
-        low = high = None
-        low_inc = high_inc = True
-        for name, constant in branch:
-            key = self.key_type.send(constant)
-            template = _RANGES[name]
-            t_low, t_high, t_low_inc, t_high_inc = template
-            if t_low == "K":
-                if low is None or self.tree.compare(key, low) > 0 or (
-                    self.tree.compare(key, low) == 0 and not t_low_inc
-                ):
-                    low, low_inc = key, t_low_inc
-            if t_high == "K":
-                if high is None or self.tree.compare(key, high) < 0 or (
-                    self.tree.compare(key, high) == 0 and not t_high_inc
-                ):
-                    high, high_inc = key, t_high_inc
-        return low, high, low_inc, high_inc
-
-    def reset(self) -> None:
-        self._results: List[Tuple[int, int, bytes]] = []
-        self._pos = 0
-        seen = set()
-        for branch in self.branches:
-            low, high, low_inc, high_inc = self._bounds(branch)
-            for key, rowid, fragid in self.tree.search_range(
-                low, high, low_inc, high_inc
-            ):
-                if (rowid, fragid) not in seen:
-                    seen.add((rowid, fragid))
-                    self._results.append((rowid, fragid, key))
-
-    def next(self) -> Optional[RowReference]:
-        if self._pos >= len(self._results):
-            return None
-        rowid, fragid, key = self._results[self._pos]
-        self._pos += 1
-        return RowReference(
-            rowid=rowid, fragid=fragid, row=(self.key_type.receive(key),)
-        )
-
-
-def register_btree_blade(server, buffer_capacity: int = 64) -> BTreeDataBlade:
+def register_btree_blade(server) -> BTreeDataBlade:
     """Install the B+-tree DataBlade; indexable types: INTEGER, FLOAT,
     DATE, LVARCHAR (anything with binary send/receive and a comparator
     overload)."""
-    blade = BTreeDataBlade(server, buffer_capacity=buffer_capacity)
-    server.library.register_module(BTreeDataBlade.LIBRARY_PATH, blade.exports())
-
-    statements: List[str] = []
-    for symbol in (
-        "bt_create", "bt_drop", "bt_open", "bt_close", "bt_beginscan",
-        "bt_endscan", "bt_rescan", "bt_getnext", "bt_insert", "bt_delete",
-        "bt_update", "bt_scancost", "bt_stats", "bt_check",
-    ):
-        statements.append(
-            f"CREATE FUNCTION {symbol}(pointer) RETURNING int "
-            f"EXTERNAL NAME '{blade.LIBRARY_PATH}({symbol})' LANGUAGE c"
-        )
-    for type_name in ("INTEGER", "FLOAT", "DATE", "LVARCHAR"):
-        for name, symbol in (
-            ("BT_Equal", "bt_equal_udr"),
-            ("BT_GreaterThan", "bt_gt_udr"),
-            ("BT_GreaterThanOrEqual", "bt_ge_udr"),
-            ("BT_LessThan", "bt_lt_udr"),
-            ("BT_LessThanOrEqual", "bt_le_udr"),
-        ):
-            statements.append(
-                f"CREATE FUNCTION {name}({type_name}, {type_name}) "
-                f"RETURNING boolean "
-                f"EXTERNAL NAME '{blade.LIBRARY_PATH}({symbol})' LANGUAGE c"
-            )
-        statements.append(
-            f"CREATE FUNCTION Compare({type_name}, {type_name}) "
-            f"RETURNING int "
-            f"EXTERNAL NAME '{blade.LIBRARY_PATH}(bt_compare_udr)' LANGUAGE c"
-        )
-    slots = ", ".join(
-        f"am_{slot} = bt_{slot}"
-        for slot in (
-            "create", "drop", "open", "close", "beginscan", "endscan",
-            "rescan", "getnext", "insert", "delete", "update", "scancost",
-            "stats", "check",
-        )
-    )
-    statements.append(
-        f'CREATE SECONDARY ACCESS_METHOD {blade.AM_NAME} ({slots}, '
-        f'am_sptype = "S")'
-    )
-    statements.append(
-        f"CREATE DEFAULT OPCLASS {blade.OPCLASS_NAME} FOR {blade.AM_NAME} "
-        f"STRATEGIES(BT_Equal, BT_GreaterThan, BT_GreaterThanOrEqual, "
-        f"BT_LessThan, BT_LessThanOrEqual) "
-        f"SUPPORT(Compare)"
-    )
-    statements.append(
-        f"CREATE TABLE {blade.METADATA_TABLE} "
-        f"(indexname LVARCHAR, blobhandle LVARCHAR)"
-    )
-    with server.provisioning():
-        server.run_script(";\n".join(statements))
-
-    routines = server.catalog.routines
-    routines.set_commutator("BT_GreaterThan", "BT_LessThanOrEqual")
-    routines.set_commutator("BT_LessThanOrEqual", "BT_GreaterThan")
-    routines.set_negator("BT_Equal", "BT_NotEqual")
-    return blade
+    return BTreeDataBlade(server).install()

@@ -2,8 +2,9 @@
 
 The fourteen ``grt_*`` purpose functions follow the steps of the paper's
 Table 5, traced step by step under the ``grt`` trace class so that the
-Table 5 benchmark can verify them.  Blade state lives where the paper
-puts it:
+Table 5 benchmark can verify them.  The lifecycle itself is the blade
+kit's (:mod:`repro.datablade.kit`); this module holds what is the
+GR-tree's own.  Blade state lives where the paper puts it:
 
 * the ``Tree`` object and the open BLOB in the *index descriptor*'s user
   data (created by ``grt_create``/``grt_open``, deleted by ``grt_close``);
@@ -17,79 +18,72 @@ puts it:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
-from repro.datablade.blob import BladeBlob
-from repro.datablade.qualification import QualificationPlan, build_plan
+from repro.datablade.bladesmith import OpclassDefinition
+from repro.datablade.kit import AccessMethodBlade
+from repro.datablade.qualification import SimplePredicate, resolve_simple
+from repro.datablade.strategies import (
+    HARD_CODED_PREDICATES,
+    make_strategy_functions,
+)
+from repro.datablade.supports import make_support_functions
 from repro.datablade.time_extent import TYPE_NAME
 from repro.grtree.cursor import Cursor
 from repro.grtree.node import GRNodeStore
 from repro.grtree.specialize import SpecializedOps
 from repro.grtree.tree import GRTree
-from repro.server.access_method import (
-    IndexDescriptor,
-    RowReference,
-    ScanDescriptor,
-)
+from repro.server.access_method import IndexDescriptor, RowReference
 from repro.server.errors import AccessMethodError
-from repro.server.memory import Duration
-from repro.storage.buffer import BufferPool
-from repro.storage.sbspace import LargeObjectHandle, OpenMode
 from repro.temporal.chronon import Chronon
 from repro.temporal.extent import TimeExtent
 
-#: Trace class for purpose-function steps (the Table 5 reproduction).
-TRACE_GRT = "grt"
 
-
-class GRTreeDataBlade:
+class GRTreeDataBlade(AccessMethodBlade):
     """Configuration and implementation of the GR-tree access method."""
 
+    PREFIX = "grt"
     LIBRARY_PATH = "usr/functions/grtree.bld"
     AM_NAME = "grtree_am"
-    OPCLASS_NAME = "grt_opclass"
     METADATA_TABLE = "grtree_indexdata"
+    METADATA_COLUMNS = (
+        ("indexname", "LVARCHAR"),
+        ("fragid", "INTEGER"),
+        ("blobhandle", "LVARCHAR"),
+        ("metapage", "INTEGER"),
+    )
+    OPCLASSES = (
+        OpclassDefinition(
+            "grt_opclass",
+            (TYPE_NAME,),
+            strategies=(
+                ("Overlaps", "grt_overlaps_udr"),
+                ("Equal", "grt_equal_udr"),
+                ("Contains", "grt_contains_udr"),
+                ("ContainedIn", "grt_containedin_udr"),
+            ),
+            supports=(
+                ("GRT_Union", "grt_union_udr", "pointer", 2),
+                ("GRT_Size", "grt_size_udr", "pointer", 1),
+                ("GRT_Intersection", "grt_intersection_udr", "pointer", 2),
+            ),
+        ),
+    )
+    # Informix's association hints (Section 5.2): commutators only --
+    # there is no way to declare "not overlaps implies not equal".
+    COMMUTATORS = (
+        ("Overlaps", "Overlaps"),
+        ("Equal", "Equal"),
+        ("Contains", "ContainedIn"),
+        ("ContainedIn", "Contains"),
+    )
 
     def __init__(
-        self,
-        server,
-        buffer_capacity: Optional[int] = None,
-        time_horizon: int = 20,
-        node_cache_size: Optional[int] = None,
-        handle_cache: bool = True,
-        specialize: Optional[bool] = None,
+        self, server, time_horizon: int = 20, handle_cache: bool = True
     ) -> None:
-        self.server = server
-        #: Compile specialized/vectorized kernels for each index at
-        #: ``CREATE INDEX``/``grt_open`` time (see
-        #: :mod:`repro.grtree.specialize`).  ``False`` keeps the paper's
-        #: literal per-entry purpose-function call sequence; a
-        #: ``CREATE INDEX ... WITH (specialize = ...)`` clause overrides
-        #: per index.
-        self.specialize = (
-            specialize
-            if specialize is not None
-            else getattr(server, "specialize_indexes", True)
-        )
-        # ``None`` means "use the server-wide default"; a ``CREATE INDEX
-        # ... WITH (...)`` clause can still override per index.
-        self.buffer_capacity = (
-            buffer_capacity
-            if buffer_capacity is not None
-            else getattr(server, "buffer_capacity", 64)
-        )
-        self.node_cache_size = (
-            node_cache_size
-            if node_cache_size is not None
-            else getattr(server, "node_cache_size", 128)
-        )
+        super().__init__(server)
         self.time_horizon = time_horizon
-        #: Keep Tree/pool/BLOB objects of closed indices for the next
-        #: ``grt_open`` instead of rebuilding them per statement.  The
-        #: BLOB is still opened and closed per statement (locks follow
-        #: the paper's protocol); only the object rebuild is skipped.
         self.handle_cache = handle_cache
-        self._handles: Dict[str, Dict[str, Any]] = {}
 
     # ------------------------------------------------------------------
     # Current time and transactions (Section 5.4)
@@ -125,118 +119,33 @@ class GRTreeDataBlade:
         session.register_end_callback(free_named_now)
         return value
 
-    # ------------------------------------------------------------------
-    # Helpers
-    # ------------------------------------------------------------------
-
-    def _trace(self, function: str, step: int, text: str) -> None:
-        self.server.trace.emit(TRACE_GRT, 2, f"{function}({step}) {text}")
-
-    def _metadata_table(self):
-        return self.server.catalog.get_table(self.METADATA_TABLE)
-
-    def _metadata_row(self, index_name: str) -> Tuple[int, Dict[str, Any]]:
-        for rowid, row in self._metadata_table().scan():
-            if row["indexname"] == index_name:
-                return rowid, row
-        raise AccessMethodError(
-            f"no {self.METADATA_TABLE} record for index {index_name}"
+    def am_create(self, td: IndexDescriptor) -> int:
+        super().am_create(td)
+        # Record where the meta page landed so grt_open can find it.
+        rowid, _ = self._metadata_row(td.index_name)
+        self._metadata_table().update_row(
+            rowid, {"metapage": td.user_data["tree"].meta_page}
         )
+        self._sample_current_time(td.session)
+        return 0
 
-    def _tree(self, td: IndexDescriptor) -> GRTree:
-        tree = td.user_data.get("tree")
-        if tree is None:
-            raise AccessMethodError(
-                f"index {td.index_name} is not open (grt_open was not called)"
-            )
-        return tree
-
-    def _blob(self, td: IndexDescriptor) -> BladeBlob:
-        blob = td.user_data.get("blob")
-        if blob is None:
-            raise AccessMethodError(f"index {td.index_name} has no open BLOB")
-        return blob
-
-    def _cache_sizes(self, td: IndexDescriptor) -> Tuple[int, int]:
-        """Resolve (buffer capacity, node-cache size) for one index:
-        ``CREATE INDEX ... WITH (...)`` parameters win over blade/server
-        defaults."""
-        params = td.parameters or {}
-        capacity = int(params.get("buffer_capacity", self.buffer_capacity))
-        node_cache = int(params.get("node_cache", self.node_cache_size))
-        return capacity, node_cache
-
-    def _spec_enabled(self, td: IndexDescriptor) -> bool:
-        """Resolve the specialization switch for one index: a
-        ``CREATE INDEX ... WITH (specialize = ...)`` parameter wins over
-        the blade/server default."""
-        params = td.parameters or {}
-        value = params.get("specialize", self.specialize)
-        if isinstance(value, bool):
-            return value
-        if isinstance(value, (int, float)):
-            return bool(value)
-        if isinstance(value, str):
-            lowered = value.strip().lower()
-            if lowered in ("true", "on", "yes", "1"):
-                return True
-            if lowered in ("false", "off", "no", "0"):
-                return False
-        raise AccessMethodError(
-            f"specialize expects a boolean, got {value!r}"
-        )
-
-    def _attach_tree(self, td: IndexDescriptor, blob: BladeBlob, meta_page, create):
-        capacity, node_cache = self._cache_sizes(td)
-        pool = BufferPool(
-            blob.page_store(),
-            capacity=capacity,
-            faults=getattr(self.server, "faults", None),
-        )
-        store = GRNodeStore(pool, node_cache_size=node_cache)
-        if create:
-            tree = GRTree.create(
-                store, self.server.clock, time_horizon=self.time_horizon
-            )
-        else:
-            tree = GRTree.open(store, self.server.clock, meta_page=meta_page)
-        if self._spec_enabled(td):
-            # Specialize once per handle: the bundle (and every kernel
-            # compiled from it) lives and dies with the tree object, so
-            # the storage-epoch check that invalidates the handle cache
-            # invalidates the compiled code too.
-            tree.spec = SpecializedOps()
-        obs = getattr(self.server, "obs", None)
-        if obs is not None:
-            # Reopening replaces the previous pool under the same name, so
-            # ``SHOW STATS`` always shows the live pool of each index.
-            obs.attach_buffer_pool(f"index.{td.index_name}", pool)
-            obs.attach_node_cache(f"index.{td.index_name}", store)
-            if tree.spec is not None:
-                obs.attach_specializer(f"index.{td.index_name}", tree.spec)
-            tree.obs = obs
-        td.user_data["tree"] = tree
-        td.user_data["blob"] = blob
-        td.user_data["pool"] = pool
-        td.user_data["store"] = store
-        td.user_data["epoch"] = self.server.storage_epoch
-        return tree
+    def am_open(self, td: IndexDescriptor) -> int:
+        super().am_open(td)
+        self._sample_current_time(td.session)
+        return 0
 
     # ------------------------------------------------------------------
-    # Purpose functions (Table 5)
+    # Hooks
     # ------------------------------------------------------------------
 
-    def grt_create(self, td: IndexDescriptor) -> int:
-        self._trace("grt_create", 1, "create Tree object")
+    def validate(self, td: IndexDescriptor) -> None:
         if tuple(t.upper() for t in td.column_types) != (TYPE_NAME.upper(),):
-            self._trace("grt_create", 2, "column type check failed")
+            self._trace("create", 2, "column type check failed")
             raise AccessMethodError(
                 f"{self.AM_NAME} indexes exactly one {TYPE_NAME} column, "
                 f"got {td.column_types}"
             )
-        self._trace("grt_create", 2, "column types accepted")
-        from repro.datablade.strategies import HARD_CODED_PREDICATES
-
+        self._trace("create", 2, "column types accepted")
         for opclass_name in td.opclass_names:
             opclass = self.server.catalog.opclasses.get(opclass_name)
             unknown = [
@@ -244,12 +153,12 @@ class GRTreeDataBlade:
                 if s.lower() not in HARD_CODED_PREDICATES
             ]
             if unknown:
-                self._trace("grt_create", 3, "operator class check failed")
+                self._trace("create", 3, "operator class check failed")
                 raise AccessMethodError(
                     f"operator class {opclass.name} declares strategies the "
                     f"hard-coded GR-tree cannot serve: {unknown} (Section 5.2)"
                 )
-        self._trace("grt_create", 3, "operator class accepted")
+        self._trace("create", 3, "operator class accepted")
         duplicate = [
             info
             for info in self.server.catalog.indices_on(td.table_name)
@@ -260,297 +169,89 @@ class GRTreeDataBlade:
             and info.parameters == td.parameters
         ]
         if duplicate:
-            self._trace("grt_create", 4, "duplicate index check failed")
+            self._trace("create", 4, "duplicate index check failed")
             raise AccessMethodError(
                 f"an equivalent {self.AM_NAME} index already exists: "
                 f"{duplicate[0].name}"
             )
-        self._trace("grt_create", 4, "no equivalent index exists")
-        # A cached handle under the same name (dropped + recreated
-        # index) must never shadow the fresh BLOB.
-        self._handles.pop(td.index_name.lower(), None)
-        space = self.server.get_sbspace(td.space_name)
-        blob = BladeBlob.create(space)
-        self._trace("grt_create", 5, f"created BLOB {blob.handle}")
-        self._metadata_table().insert_row(
-            {
-                "indexname": td.index_name,
-                "fragid": 0,
-                "blobhandle": blob.handle.value,
-                "metapage": 0,
-            }
-        )
-        self._trace("grt_create", 6, "inserted record into grtree_indexdata")
-        blob.open(td.session, OpenMode.WRITE)
-        self._trace("grt_create", 7, "opened the BLOB")
-        tree = self._attach_tree(td, blob, meta_page=None, create=True)
-        # Record where the meta page landed so grt_open can find it.
-        rowid, row = self._metadata_row(td.index_name)
-        self._metadata_table().update_row(rowid, {"metapage": tree.meta_page})
-        self._sample_current_time(td.session)
-        return 0
+        self._trace("create", 4, "no equivalent index exists")
 
-    def grt_drop(self, td: IndexDescriptor) -> int:
-        self._trace("grt_drop", 1, "get Tree object pointer")
-        if "tree" not in td.user_data:
-            # Dropping a closed index: open the BLOB to drop it.
-            self.grt_open(td)
-        blob = self._blob(td)
-        self._trace("grt_drop", 2, f"drop BLOB {blob.handle}")
-        blob.drop()
-        self._trace("grt_drop", 3, "delete Tree object")
-        td.user_data.clear()
-        self._handles.pop(td.index_name.lower(), None)
-        rowid, _ = self._metadata_row(td.index_name)
-        self._metadata_table().delete_row(rowid)
-        self._trace("grt_drop", 4, "deleted record from grtree_indexdata")
-        return 0
+    def option_spec(self):
+        """``node_cache`` sizes the decoded-node cache; ``specialize``
+        compiles specialized/vectorized kernels for the index (see
+        :mod:`repro.grtree.specialize`) -- off keeps the paper's literal
+        per-entry purpose-function call sequence."""
+        return {
+            **super().option_spec(),
+            "node_cache": (self.server.node_cache_size, 0),
+            "specialize": (self.server.specialize_indexes, 0),
+        }
 
-    def _revive_handle(self, td: IndexDescriptor) -> bool:
-        """Reattach a cached Tree/pool/BLOB from a previous close, if it
-        is still safe: the BLOB must still be the same live object in
-        its sbspace (recovery and DROP replace it) and storage must not
-        have been rewritten underneath the pool (transaction rollback
-        restores pages directly, bumping ``server.storage_epoch``)."""
-        key = td.index_name.lower()
-        entry = self._handles.get(key)
-        if entry is None:
-            return False
-        blob: BladeBlob = entry["blob"]
-        pool: BufferPool = entry["pool"]
-        try:
-            same_store = blob.page_store() is pool.store
-        except Exception:
-            same_store = False  # BLOB dropped or sbspace re-initialised
-        if not same_store or entry["epoch"] != self.server.storage_epoch:
-            del self._handles[key]
-            return False
-        self._trace("grt_open", 2, "reuse cached Tree object")
-        blob.open(td.session, OpenMode.READ)
-        self._trace("grt_open", 4, "opened the BLOB")
-        obs = getattr(self.server, "obs", None)
-        if obs is not None:
-            obs.attach_buffer_pool(f"index.{td.index_name}", pool)
-            obs.attach_node_cache(f"index.{td.index_name}", entry["store"])
-            tree = entry["tree"]
-            if tree is not None and tree.spec is not None:
-                obs.attach_specializer(f"index.{td.index_name}", tree.spec)
-        td.user_data["tree"] = entry["tree"]
-        td.user_data["blob"] = blob
-        td.user_data["pool"] = pool
-        td.user_data["store"] = entry["store"]
-        td.user_data["epoch"] = entry["epoch"]
-        return True
-
-    def grt_open(self, td: IndexDescriptor) -> int:
-        if "tree" in td.user_data:
-            if td.user_data.get("epoch") == self.server.storage_epoch:
-                self._trace(
-                    "grt_open", 1, "invoked right after grt_create; exit"
-                )
-                self._sample_current_time(td.session)
-                return 0
-            # The attachment survived an abnormal unwind -- a crash or an
-            # error that interrupted grt_close before it could clean up --
-            # and storage has since been rewritten underneath it (rollback
-            # or WAL recovery bumps the epoch).  Reusing the stale tree
-            # would resurrect rolled-back entries from its dirty pool.
-            self._trace("grt_open", 1, "discard stale Tree attachment")
-            td.user_data.clear()
-        if self.handle_cache and self._revive_handle(td):
-            self._sample_current_time(td.session)
-            return 0
-        self._trace("grt_open", 2, "create Tree object")
-        rowid, row = self._metadata_row(td.index_name)
-        self._trace("grt_open", 3, f"got BLOB handle {row['blobhandle'][:20]}...")
-        space = self.server.get_sbspace(td.space_name)
-        blob = BladeBlob(space, LargeObjectHandle(row["blobhandle"]))
-        blob.open(td.session, OpenMode.READ)
-        self._trace("grt_open", 4, "opened the BLOB")
-        self._attach_tree(td, blob, meta_page=row["metapage"], create=False)
-        self._sample_current_time(td.session)
-        return 0
-
-    def grt_close(self, td: IndexDescriptor) -> int:
-        self._trace("grt_close", 1, "get Tree object pointer")
-        blob = self._blob(td)
-        pool = td.user_data.get("pool")
-        if pool is not None:
-            pool.flush()  # write dirty index pages into the BLOB
-        blob.close()
-        self._trace("grt_close", 2, "closed the BLOB")
-        if self.handle_cache and pool is not None:
-            self._handles[td.index_name.lower()] = {
-                "tree": td.user_data.get("tree"),
-                "blob": blob,
-                "pool": pool,
-                "store": td.user_data.get("store"),
-                "epoch": self.server.storage_epoch,
-            }
-            self._trace("grt_close", 3, "cached Tree object for reuse")
-        else:
-            self._trace("grt_close", 3, "deleted Tree object")
-        td.user_data.pop("tree", None)
-        td.user_data.pop("blob", None)
-        td.user_data.pop("pool", None)
-        td.user_data.pop("store", None)
-        td.user_data.pop("epoch", None)
-        return 0
-
-    # -- scanning ---------------------------------------------------------
-
-    def grt_beginscan(self, sd: ScanDescriptor) -> int:
-        self._trace("grt_beginscan", 1, "get qualification descriptor qd")
-        if sd.qualification is None:
-            raise AccessMethodError("grt_beginscan needs a qualification")
-        plan = build_plan(sd.qualification)
-        self._trace("grt_beginscan", 2, "get index descriptor td")
-        tree = self._tree(sd.index)
-        now = self._sample_current_time(sd.index.session)
-        self._trace(
-            "grt_beginscan",
-            3,
-            f"create Cursor ({len(plan.branches)} DNF branch(es))",
-        )
-        sd.user_data["scan"] = _BladeScan(tree, plan, now)
-        self._trace("grt_beginscan", 4, "saved Cursor pointer in td")
-        return 0
-
-    def grt_rescan(self, sd: ScanDescriptor) -> int:
-        self._trace("grt_rescan", 1, "get index descriptor td")
-        scan = self._scan(sd)
-        self._trace("grt_rescan", 2, "get Cursor pointer")
-        scan.reset()
-        self._trace("grt_rescan", 3, "reset Cursor")
-        return 0
-
-    def grt_getnext(self, sd: ScanDescriptor) -> Optional[RowReference]:
-        scan = self._scan(sd)
-        entry = scan.next()
-        if entry is None:
-            return None
-        self._trace(
-            "grt_getnext", 4, f"formed retrowid from rowid={entry.rowid}"
-        )
-        return RowReference(
-            rowid=entry.rowid, fragid=entry.fragid, row=(entry.extent(),)
-        )
-
-    def grt_endscan(self, sd: ScanDescriptor) -> int:
-        self._trace("grt_endscan", 1, "get index descriptor td")
-        self._trace("grt_endscan", 2, "get Cursor pointer")
-        sd.user_data.pop("scan", None)
-        self._trace("grt_endscan", 3, "deleted Cursor")
-        return 0
-
-    def _scan(self, sd: ScanDescriptor) -> "_BladeScan":
-        scan = sd.user_data.get("scan")
-        if scan is None:
-            raise AccessMethodError("no scan in progress (grt_beginscan missing)")
-        return scan
-
-    # -- updates ------------------------------------------------------------
-
-    def grt_insert(self, td: IndexDescriptor, newrow, newrowid: int) -> int:
-        self._trace("grt_insert", 1, "get Tree object pointer")
-        tree = self._tree(td)
-        extent = self._extent_of(newrow)
-        self._trace("grt_insert", 2, f"formed entry for rowid={newrowid}")
-        self._blob(td).ensure_writable()
-        tree.insert(extent, newrowid)
-        self._trace("grt_insert", 3, "inserted entry via Tree.insert()")
-        return 0
-
-    def grt_delete(self, td: IndexDescriptor, oldrow, oldrowid: int) -> int:
-        self._trace("grt_delete", 1, "get Tree object pointer")
-        tree = self._tree(td)
-        extent = self._extent_of(oldrow)
-        self._blob(td).ensure_writable()
-        if not tree.delete(extent, oldrowid):
-            raise AccessMethodError(
-                f"index {td.index_name} has no entry for rowid {oldrowid}"
+    def build(self, td, pools, meta, options, obs) -> Dict[str, Any]:
+        store = GRNodeStore(pools["blob"], node_cache_size=options["node_cache"])
+        if meta is None:
+            tree = GRTree.create(
+                store, self.server.clock, time_horizon=self.time_horizon
             )
-        self._trace("grt_delete", 4, "deleted entry via Tree.delete()")
-        if tree.condensed:
-            self._trace("grt_delete", 5, "tree condensed: open cursors reset")
-        return 0
+        else:
+            tree = GRTree.open(
+                store, self.server.clock, meta_page=meta["metapage"]
+            )
+        if options["specialize"]:
+            # Specialize once per handle: the bundle (and every kernel
+            # compiled from it) lives and dies with the tree object, so
+            # the storage-epoch check that invalidates the handle cache
+            # invalidates the compiled code too.
+            tree.spec = SpecializedOps()
+        if obs is not None:
+            name = self._pool_name(td, "blob")
+            obs.attach_node_cache(name, store)
+            if tree.spec is not None:
+                obs.attach_specializer(name, tree.spec)
+            tree.obs = obs
+        return {"tree": tree, "store": store}
 
-    def grt_update(
-        self, td: IndexDescriptor, oldrow, oldrowid: int, newrow, newrowid: int
-    ) -> int:
-        self._trace("grt_update", 1, "invoke grt_delete")
-        self.grt_delete(td, oldrow, oldrowid)
-        self._trace("grt_update", 2, "invoke grt_insert")
-        self.grt_insert(td, newrow, newrowid)
-        return 0
+    def leaf(self, td, qual) -> SimplePredicate:
+        return resolve_simple(qual)
 
-    def _extent_of(self, row) -> TimeExtent:
-        value = row[0]
+    def cursor(self, td: IndexDescriptor, branches) -> "_BladeScan":
+        return _BladeScan(
+            td.user_data["tree"], branches, self._sample_current_time(td.session)
+        )
+
+    def encode(self, td, value) -> TimeExtent:
         if not isinstance(value, TimeExtent):
             raise AccessMethodError(
                 f"GR-tree rows carry one {TYPE_NAME}, got {value!r}"
             )
         return value
 
-    # -- costing, statistics, checking ---------------------------------------
-
-    def grt_scancost(self, sd: ScanDescriptor) -> float:
-        if sd.qualification is None:
-            return float("inf")
-        plan = build_plan(sd.qualification)
-        tree, transient = self._tree_for_estimation(sd.index)
-        now = self.current_time(sd.index.session)
-        cost = 0.0
-        for branch in plan.branches:
-            cost += tree.scan_cost(branch[0].query, now=now)
-        return cost
-
-    def grt_stats(self, td: IndexDescriptor) -> Dict[str, float]:
-        tree = self._tree(td)
-        stats = tree.stats()
-        stats.update(tree.quality())
-        self._trace("grt_stats", 1, f"collected statistics: {sorted(stats)}")
-        return stats
-
-    def grt_check(self, td: IndexDescriptor) -> int:
-        tree = self._tree(td)
-        try:
-            tree.check()
-        except AssertionError as exc:
-            raise AccessMethodError(f"index {td.index_name} corrupt: {exc}") from exc
-        self._trace("grt_check", 1, "index is consistent")
+    def am_delete(self, td: IndexDescriptor, oldrow, oldrowid: int) -> int:
+        super().am_delete(td, oldrow, oldrowid)
+        if td.user_data["tree"].condensed:
+            self._trace("delete", 5, "tree condensed: open cursors reset")
         return 0
 
-    def _tree_for_estimation(self, td: IndexDescriptor):
-        """A tree view for costing without taking locks (planning time)."""
-        if "tree" in td.user_data:
-            return td.user_data["tree"], False
-        rowid, row = self._metadata_row(td.index_name)
-        space = self.server.get_sbspace(td.space_name)
-        blob = space.get(LargeObjectHandle(row["blobhandle"]))
-        pool = BufferPool(blob, capacity=8)
-        tree = GRTree.open(GRNodeStore(pool), self.server.clock, row["metapage"])
-        return tree, True
+    def cost(self, td, structures, branches) -> float:
+        now = self.current_time(td.session)
+        tree: GRTree = structures["tree"]
+        return sum(tree.scan_cost(branch[0].query, now=now) for branch in branches)
 
-    # ------------------------------------------------------------------
+    def statistics(self, td: IndexDescriptor) -> Dict[str, float]:
+        tree: GRTree = td.user_data["tree"]
+        return {**tree.stats(), **tree.quality()}
 
-    def purpose_function_exports(self) -> Dict[str, Any]:
-        """The symbols the shared library ``grtree.bld`` exports."""
+    def udrs(self) -> Dict[str, Any]:
+        strategies = make_strategy_functions(lambda: self.current_time())
+        supports = make_support_functions(lambda: self.current_time())
         return {
-            "grt_create": self.grt_create,
-            "grt_drop": self.grt_drop,
-            "grt_open": self.grt_open,
-            "grt_close": self.grt_close,
-            "grt_beginscan": self.grt_beginscan,
-            "grt_endscan": self.grt_endscan,
-            "grt_rescan": self.grt_rescan,
-            "grt_getnext": self.grt_getnext,
-            "grt_insert": self.grt_insert,
-            "grt_delete": self.grt_delete,
-            "grt_update": self.grt_update,
-            "grt_scancost": self.grt_scancost,
-            "grt_stats": self.grt_stats,
-            "grt_check": self.grt_check,
+            "grt_overlaps_udr": strategies["Overlaps"],
+            "grt_equal_udr": strategies["Equal"],
+            "grt_contains_udr": strategies["Contains"],
+            "grt_containedin_udr": strategies["ContainedIn"],
+            "grt_union_udr": supports["GRT_Union"],
+            "grt_size_udr": supports["GRT_Size"],
+            "grt_intersection_udr": supports["GRT_Intersection"],
         }
 
 
@@ -558,9 +259,11 @@ class _BladeScan:
     """Cursor state over the DNF plan: one GR-tree cursor per branch,
     branch-local residual predicates, cross-branch de-duplication."""
 
-    def __init__(self, tree: GRTree, plan: QualificationPlan, now: Chronon) -> None:
+    def __init__(
+        self, tree: GRTree, branches: List[List[SimplePredicate]], now: Chronon
+    ) -> None:
         self.tree = tree
-        self.plan = plan
+        self.branches = branches
         self.now = now
         self._branch = 0
         self._cursor: Optional[Cursor] = None
@@ -571,9 +274,9 @@ class _BladeScan:
         self._cursor = None
         self._seen.clear()
 
-    def next(self):
-        while self._branch < len(self.plan.branches):
-            branch = self.plan.branches[self._branch]
+    def next(self) -> Optional[RowReference]:
+        while self._branch < len(self.branches):
+            branch = self.branches[self._branch]
             if self._cursor is None:
                 primary = branch[0]
                 self._cursor = self.tree.search(
@@ -593,5 +296,7 @@ class _BladeScan:
                 for pred in branch[1:]
             ):
                 self._seen.add(key)
-                return entry
+                return RowReference(
+                    rowid=entry.rowid, fragid=entry.fragid, row=(entry.extent(),)
+                )
         return None

@@ -87,6 +87,10 @@ class BladeBlob:
     def is_open(self) -> bool:
         return self._open_mode is not None
 
+    @property
+    def is_writable(self) -> bool:
+        return self._open_mode is OpenMode.WRITE
+
     def read(self, offset: int, length: int) -> bytes:
         return self.space.get(self.handle).read_bytes(offset, length)
 

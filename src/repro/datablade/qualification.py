@@ -16,7 +16,7 @@ branch's remaining predicates, de-duplicating rowids across branches.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import Any, Callable, List
 
 from repro.grtree.entries import Predicate
 from repro.server.access_method import (
@@ -28,6 +28,25 @@ from repro.server.access_method import (
 from repro.server.errors import AccessMethodError
 from repro.datablade.strategies import COMMUTED_PREDICATES, HARD_CODED_PREDICATES
 from repro.temporal.extent import TimeExtent
+
+
+def to_dnf(
+    qual: Qualification, leaf: Callable[[SimpleQualification], Any]
+) -> List[list]:
+    """Normalize a qualification tree into DNF branches of whatever
+    *leaf* makes of each simple predicate (every blade plans with this)."""
+    if isinstance(qual, SimpleQualification):
+        return [[leaf(qual)]]
+    if not isinstance(qual, CompoundQualification):
+        raise AccessMethodError(f"unsupported qualification node {qual!r}")
+    child_dnfs = [to_dnf(child, leaf) for child in qual.children]
+    if qual.operator is BooleanOperator.OR:
+        return [branch for dnf in child_dnfs for branch in dnf]
+    # AND: the cross product of the children's branches.
+    result: List[list] = [[]]
+    for dnf in child_dnfs:
+        result = [existing + branch for existing in result for branch in dnf]
+    return result
 
 
 @dataclass(frozen=True)
@@ -73,25 +92,5 @@ def resolve_simple(qual: SimpleQualification) -> SimplePredicate:
 
 
 def build_plan(qual: Qualification) -> QualificationPlan:
-    """Normalize a qualification tree into DNF branches."""
-    return QualificationPlan(_to_dnf(qual))
-
-
-def _to_dnf(qual: Qualification) -> List[List[SimplePredicate]]:
-    if isinstance(qual, SimpleQualification):
-        return [[resolve_simple(qual)]]
-    if not isinstance(qual, CompoundQualification):
-        raise AccessMethodError(f"unsupported qualification node {qual!r}")
-    child_dnfs = [_to_dnf(child) for child in qual.children]
-    if qual.operator is BooleanOperator.OR:
-        branches: List[List[SimplePredicate]] = []
-        for dnf in child_dnfs:
-            branches.extend(dnf)
-        return branches
-    # AND: the cross product of the children's branches.
-    result: List[List[SimplePredicate]] = [[]]
-    for dnf in child_dnfs:
-        result = [
-            existing + branch for existing in result for branch in dnf
-        ]
-    return result
+    """The GR-tree's plan for a qualification tree."""
+    return QualificationPlan(to_dnf(qual, resolve_simple))

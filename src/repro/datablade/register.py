@@ -10,72 +10,28 @@ blade's metadata table are created.  Unregistration reverses all of it.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.datablade import bladesmith
 from repro.datablade.blade import GRTreeDataBlade
-from repro.datablade.strategies import make_strategy_functions
-from repro.datablade.supports import make_support_functions
 from repro.datablade.time_extent import TYPE_NAME, make_time_extent_type
 
 
 def register_grtree_blade(
-    server,
-    buffer_capacity: Optional[int] = None,
-    time_horizon: int = 20,
-    node_cache_size: Optional[int] = None,
-    handle_cache: bool = True,
+    server, time_horizon: int = 20, handle_cache: bool = True
 ) -> GRTreeDataBlade:
     """Install the GR-tree DataBlade into *server*; returns the blade.
 
-    ``buffer_capacity``/``node_cache_size`` default to the server-wide
-    settings (``DatabaseServer(buffer_capacity=..., node_cache_size=...)``);
-    ``handle_cache=False`` restores the paper's literal behaviour of
-    rebuilding the Tree object on every ``grt_open``.
+    Cache sizes come from the server-wide settings
+    (``DatabaseServer(buffer_capacity=..., node_cache_size=...)``) or a
+    ``CREATE INDEX ... WITH (...)`` clause; ``handle_cache=False``
+    restores the paper's literal behaviour of rebuilding the Tree object
+    on every ``grt_open``.
     """
-    blade = GRTreeDataBlade(
-        server,
-        buffer_capacity=buffer_capacity,
-        time_horizon=time_horizon,
-        node_cache_size=node_cache_size,
-        handle_cache=handle_cache,
-    )
-
     # Step 1 (Section 4): the new data type and its support functions.
     server.types.register(make_time_extent_type(server.clock.granularity))
-
-    # The shared library: purpose functions plus strategy/support UDRs.
-    exports = dict(blade.purpose_function_exports())
-    strategies = make_strategy_functions(lambda: blade.current_time())
-    supports = make_support_functions(lambda: blade.current_time())
-    symbol_map = {
-        "grt_overlaps_udr": strategies["Overlaps"],
-        "grt_equal_udr": strategies["Equal"],
-        "grt_contains_udr": strategies["Contains"],
-        "grt_containedin_udr": strategies["ContainedIn"],
-        "grt_union_udr": supports["GRT_Union"],
-        "grt_size_udr": supports["GRT_Size"],
-        "grt_intersection_udr": supports["GRT_Intersection"],
-    }
-    exports.update(symbol_map)
-    server.library.register_module(GRTreeDataBlade.LIBRARY_PATH, exports)
-
     # Steps 2-4 plus the blade's metadata table, via the generated script.
-    # Provisioning scope: registration DDL is node-local (replicas install
-    # their own blades), so it is never logged for replication.
-    script = bladesmith.generate_register_script(GRTreeDataBlade.LIBRARY_PATH)
-    with server.provisioning():
-        server.run_script(script)
-
-    # Informix's association hints (Section 5.2): commutators only --
-    # there is no way to declare "not overlaps implies not equal".
-    routines = server.catalog.routines
-    routines.set_commutator("Overlaps", "Overlaps")
-    routines.set_commutator("Equal", "Equal")
-    routines.set_commutator("Contains", "ContainedIn")
-    routines.set_commutator("ContainedIn", "Contains")
-
-    return blade
+    return GRTreeDataBlade(
+        server, time_horizon=time_horizon, handle_cache=handle_cache
+    ).install()
 
 
 def unregister_grtree_blade(server) -> None:
@@ -87,7 +43,7 @@ def unregister_grtree_blade(server) -> None:
                 f"index {index.name} still uses {GRTreeDataBlade.AM_NAME}; "
                 "drop it before unregistering the DataBlade"
             )
-    script = bladesmith.generate_unregister_script()
+    script = bladesmith.generate_unregister_script(GRTreeDataBlade)
     with server.provisioning():
         server.run_script(script)
     server.types.unregister(TYPE_NAME)

@@ -13,38 +13,54 @@ specially designed operator classes to extend it".  Shipping opclasses:
 
 from __future__ import annotations
 
-import struct
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict
 
-from repro.datablade.blob import BladeBlob
+from repro.datablade.bladesmith import OpclassDefinition
+from repro.datablade.kit import AccessMethodBlade, load_root, save_root
 from repro.gist.extension import GistExtension
 from repro.gist.extensions import IntervalExtension, RectExtension
 from repro.gist.tree import GiST, GistNodeStore
-from repro.server.access_method import (
-    BooleanOperator,
-    CompoundQualification,
-    IndexDescriptor,
-    Qualification,
-    RowReference,
-    ScanDescriptor,
-    SimpleQualification,
-)
+from repro.rblade.blade import BOX_TYPE_NAME, make_box_type
+from repro.server.access_method import IndexDescriptor, SimpleQualification
 from repro.server.errors import AccessMethodError
-from repro.storage.buffer import BufferPool
-from repro.storage.sbspace import LargeObjectHandle, OpenMode
 
-_META = struct.Struct("<4sqqq")
-_META_MAGIC = b"GIST"
+_MAGIC = b"GIST"
 
 
-class GistDataBlade:
+class GistDataBlade(AccessMethodBlade):
+    PREFIX = "gs"
     LIBRARY_PATH = "usr/functions/gist.bld"
     AM_NAME = "gist_am"
     METADATA_TABLE = "gist_indexdata"
+    OPCLASSES = (
+        # Rect strategies over Box under private spellings, to stay
+        # independent of the R-tree blade's ``Overlap``...
+        OpclassDefinition(
+            "gist_rect_ops",
+            (BOX_TYPE_NAME,),
+            strategies=(
+                ("GS_Overlap", "gist_overlap_udr"),
+                ("GS_Contains", "gist_contains_udr"),
+                ("GS_Within", "gist_within_udr"),
+                ("GS_Equal", "gist_equal_udr"),
+            ),
+        ),
+        # Interval strategies over numbers.
+        OpclassDefinition(
+            "gist_interval_ops",
+            ("INTEGER", "FLOAT"),
+            strategies=(
+                ("GS_NumEqual", "gist_num_eq_udr"),
+                ("GS_GreaterThan", "gist_num_gt_udr"),
+                ("GS_GreaterThanOrEqual", "gist_num_ge_udr"),
+                ("GS_LessThan", "gist_num_lt_udr"),
+                ("GS_LessThanOrEqual", "gist_num_le_udr"),
+            ),
+        ),
+    )
 
-    def __init__(self, server, buffer_capacity: int = 64) -> None:
-        self.server = server
-        self.buffer_capacity = buffer_capacity
+    def __init__(self, server) -> None:
+        super().__init__(server)
         #: opclass name (lowercase) -> extension instance.
         self.extensions: Dict[str, GistExtension] = {}
 
@@ -61,305 +77,66 @@ class GistDataBlade:
                 f"no GiST extension registered for operator class {name}"
             ) from None
 
-    # ------------------------------------------------------------------
-    # Purpose functions
-    # ------------------------------------------------------------------
+    # -- hooks ---------------------------------------------------------------
 
-    def gs_create(self, td: IndexDescriptor) -> int:
-        if len(td.columns) != 1:
-            raise AccessMethodError(f"{self.AM_NAME} indexes exactly one column")
-        extension = self._extension(td)  # fails fast for unknown opclasses
-        space = self.server.get_sbspace(td.space_name)
-        blob = BladeBlob.create(space)
-        self.server.catalog.get_table(self.METADATA_TABLE).insert_row(
-            {"indexname": td.index_name, "blobhandle": blob.handle.value}
-        )
-        blob.open(td.session, OpenMode.WRITE)
-        pool = BufferPool(blob.page_store(), capacity=self.buffer_capacity)
-        pool.allocate()  # meta page 0
-        tree = GiST(GistNodeStore(pool, extension))
-        td.user_data.update({"tree": tree, "blob": blob, "pool": pool})
-        return 0
+    def validate(self, td: IndexDescriptor) -> None:
+        super().validate(td)
+        self._extension(td)  # fails fast for unknown opclasses
 
-    def gs_open(self, td: IndexDescriptor) -> int:
-        if "tree" in td.user_data:
-            return 0
-        meta_table = self.server.catalog.get_table(self.METADATA_TABLE)
-        handle_text = None
-        for _, row in meta_table.scan():
-            if row["indexname"] == td.index_name:
-                handle_text = row["blobhandle"]
-                break
-        if handle_text is None:
-            raise AccessMethodError(f"no metadata for index {td.index_name}")
-        space = self.server.get_sbspace(td.space_name)
-        blob = BladeBlob(space, LargeObjectHandle(handle_text))
-        blob.open(td.session, OpenMode.READ)
-        pool = BufferPool(blob.page_store(), capacity=self.buffer_capacity)
-        magic, root_id, height, size = _META.unpack_from(pool.read(0), 0)
-        if magic != _META_MAGIC:
-            raise AccessMethodError(f"index {td.index_name} storage is corrupt")
-        tree = GiST(
-            GistNodeStore(pool, self._extension(td)),
-            root_id=root_id, height=height, size=size,
-        )
-        td.user_data.update({"tree": tree, "blob": blob, "pool": pool})
-        return 0
+    def build(self, td, pools, meta, options, obs) -> Dict[str, Any]:
+        pool = pools["blob"]
+        root = load_root(pool, _MAGIC, meta is None, td.index_name)
+        return {"tree": GiST(GistNodeStore(pool, self._extension(td)), **root)}
 
-    def gs_close(self, td: IndexDescriptor) -> int:
+    def save(self, td: IndexDescriptor) -> None:
+        save_root(td.user_data["pools"]["blob"], _MAGIC, td.user_data["tree"])
+
+    def leaf(self, td, qual: SimpleQualification):
+        return self._extension(td).query_for(qual.function, qual.constant)
+
+    def probe(self, td, branch):
+        """Descend by ``consistent`` on the branch's first query; a leaf
+        entry is a hit when its key matches every query of the branch."""
+        extension = self._extension(td)
         tree: GiST = td.user_data["tree"]
-        pool: BufferPool = td.user_data["pool"]
-        blob: BladeBlob = td.user_data["blob"]
-        if blob._open_mode is OpenMode.WRITE:
-            pool.write(
-                0, _META.pack(_META_MAGIC, tree.root_id, tree.height, tree.size)
-            )
-        pool.flush()
-        blob.close()
-        td.user_data.clear()
-        return 0
+        stack = [tree.root_id]
+        while stack:
+            node = tree.store.read(stack.pop())
+            for entry in node.entries:
+                if not node.leaf:
+                    if extension.consistent(entry.key, branch[0]):
+                        stack.append(entry.child)
+                elif all(extension.matches(entry.key, q) for q in branch):
+                    yield entry.rowid, entry.fragid, entry.key
 
-    def gs_drop(self, td: IndexDescriptor) -> int:
-        if "tree" not in td.user_data:
-            self.gs_open(td)
-        td.user_data["blob"].drop()
-        td.user_data.clear()
-        meta_table = self.server.catalog.get_table(self.METADATA_TABLE)
-        for rowid, row in meta_table.scan():
-            if row["indexname"] == td.index_name:
-                meta_table.delete_row(rowid)
-                break
-        return 0
+    def encode(self, td: IndexDescriptor, value: Any):
+        return self._extension(td).key_for_value(value)
 
-    def gs_beginscan(self, sd: ScanDescriptor) -> int:
-        if sd.qualification is None:
-            raise AccessMethodError("gs_beginscan needs a qualification")
-        extension = self._extension(sd.index)
-        tree: GiST = sd.index.user_data["tree"]
-        branches = self._to_dnf(sd.qualification, extension)
-        sd.user_data["scan"] = _GScan(tree, extension, branches)
-        return 0
+    def cost(self, td, structures, branches) -> float:
+        return structures["tree"].height + 1
 
-    def gs_rescan(self, sd: ScanDescriptor) -> int:
-        sd.user_data["scan"].reset()
-        return 0
-
-    def gs_getnext(self, sd: ScanDescriptor) -> Optional[RowReference]:
-        return sd.user_data["scan"].next()
-
-    def gs_endscan(self, sd: ScanDescriptor) -> int:
-        sd.user_data.pop("scan", None)
-        return 0
-
-    def gs_insert(self, td: IndexDescriptor, newrow, newrowid: int) -> int:
-        td.user_data["blob"].ensure_writable()
-        key = self._extension(td).key_for_value(newrow[0])
-        td.user_data["tree"].insert(key, newrowid)
-        return 0
-
-    def gs_delete(self, td: IndexDescriptor, oldrow, oldrowid: int) -> int:
-        td.user_data["blob"].ensure_writable()
-        key = self._extension(td).key_for_value(oldrow[0])
-        if not td.user_data["tree"].delete(key, oldrowid):
-            raise AccessMethodError(
-                f"index {td.index_name} has no entry for rowid {oldrowid}"
-            )
-        return 0
-
-    def gs_update(self, td, oldrow, oldrowid: int, newrow, newrowid: int) -> int:
-        self.gs_delete(td, oldrow, oldrowid)
-        self.gs_insert(td, newrow, newrowid)
-        return 0
-
-    def gs_scancost(self, sd: ScanDescriptor) -> float:
-        tree = sd.index.user_data.get("tree")
-        height = tree.height if tree is not None else 2
-        return float(height + 1)
-
-    def gs_stats(self, td: IndexDescriptor) -> Dict[str, Any]:
-        return td.user_data["tree"].stats()
-
-    def gs_check(self, td: IndexDescriptor) -> int:
-        try:
-            td.user_data["tree"].check()
-        except AssertionError as exc:
-            raise AccessMethodError(f"index {td.index_name} corrupt: {exc}") from exc
-        return 0
-
-    # ------------------------------------------------------------------
-
-    def _to_dnf(self, qual: Qualification, extension: GistExtension):
-        if isinstance(qual, SimpleQualification):
-            query = extension.query_for(qual.function, qual.constant)
-            return [[query]]
-        assert isinstance(qual, CompoundQualification)
-        child_dnfs = [self._to_dnf(c, extension) for c in qual.children]
-        if qual.operator is BooleanOperator.OR:
-            return [branch for dnf in child_dnfs for branch in dnf]
-        result = [[]]
-        for dnf in child_dnfs:
-            result = [prefix + branch for prefix in result for branch in dnf]
-        return result
-
-    def exports(self) -> Dict[str, Any]:
+    def udrs(self) -> Dict[str, Callable]:
         return {
-            "gs_create": self.gs_create,
-            "gs_drop": self.gs_drop,
-            "gs_open": self.gs_open,
-            "gs_close": self.gs_close,
-            "gs_beginscan": self.gs_beginscan,
-            "gs_endscan": self.gs_endscan,
-            "gs_rescan": self.gs_rescan,
-            "gs_getnext": self.gs_getnext,
-            "gs_insert": self.gs_insert,
-            "gs_delete": self.gs_delete,
-            "gs_update": self.gs_update,
-            "gs_scancost": self.gs_scancost,
-            "gs_stats": self.gs_stats,
-            "gs_check": self.gs_check,
+            "gist_overlap_udr": lambda a, b: a.intersects(b),
+            "gist_contains_udr": lambda a, b: a.contains(b),
+            "gist_within_udr": lambda a, b: b.contains(a),
+            "gist_equal_udr": lambda a, b: a == b,
+            "gist_num_eq_udr": lambda a, b: a == b,
+            "gist_num_gt_udr": lambda a, b: a > b,
+            "gist_num_ge_udr": lambda a, b: a >= b,
+            "gist_num_lt_udr": lambda a, b: a < b,
+            "gist_num_le_udr": lambda a, b: a <= b,
         }
 
 
-class _GScan:
-    def __init__(self, tree: GiST, extension: GistExtension, branches) -> None:
-        self.tree = tree
-        self.extension = extension
-        self.branches = branches
-        self.reset()
-
-    def reset(self) -> None:
-        self._results = []
-        self._pos = 0
-        seen = set()
-        # Leaf keys are needed for the residual predicates of a branch;
-        # collect them during the probe.
-        for branch in self.branches:
-            primary = branch[0]
-            for node in self._probe_nodes(primary):
-                for entry in node.entries:
-                    if not self.extension.matches(entry.key, primary):
-                        continue
-                    if any(
-                        not self.extension.matches(entry.key, q)
-                        for q in branch[1:]
-                    ):
-                        continue
-                    pointer = (entry.rowid, entry.fragid)
-                    if pointer in seen:
-                        continue
-                    seen.add(pointer)
-                    self._results.append((entry.rowid, entry.fragid, entry.key))
-
-    def _probe_nodes(self, query):
-        stack = [self.tree.root_id]
-        while stack:
-            node = self.tree.store.read(stack.pop())
-            if node.leaf:
-                yield node
-            else:
-                for entry in node.entries:
-                    if self.extension.consistent(entry.key, query):
-                        stack.append(entry.child)
-
-    def next(self) -> Optional[RowReference]:
-        if self._pos >= len(self._results):
-            return None
-        rowid, fragid, key = self._results[self._pos]
-        self._pos += 1
-        return RowReference(rowid=rowid, fragid=fragid, row=(key,))
-
-
-def register_gist_blade(server, buffer_capacity: int = 64) -> GistDataBlade:
+def register_gist_blade(server) -> GistDataBlade:
     """Install the generic GiST access method with its two shipped
     operator classes (rect and interval instantiations)."""
-    blade = GistDataBlade(server, buffer_capacity=buffer_capacity)
     # The rect instantiation indexes Box columns; make the type available
     # even when the R-tree blade is not installed.
-    from repro.rblade.blade import BOX_TYPE_NAME, make_box_type
-
     if BOX_TYPE_NAME not in server.types:
         server.types.register(make_box_type())
-    server.library.register_module(GistDataBlade.LIBRARY_PATH, blade.exports())
-
-    statements: List[str] = []
-    for symbol in (
-        "gs_create", "gs_drop", "gs_open", "gs_close", "gs_beginscan",
-        "gs_endscan", "gs_rescan", "gs_getnext", "gs_insert", "gs_delete",
-        "gs_update", "gs_scancost", "gs_stats", "gs_check",
-    ):
-        statements.append(
-            f"CREATE FUNCTION {symbol}(pointer) RETURNING int "
-            f"EXTERNAL NAME '{blade.LIBRARY_PATH}({symbol})' LANGUAGE c"
-        )
-    # Rect strategies over Box (registered by the R-tree blade when both
-    # are installed; register private spellings to stay independent).
-    rect_exports = {
-        "gist_overlap_udr": lambda a, b: a.intersects(b),
-        "gist_contains_udr": lambda a, b: a.contains(b),
-        "gist_within_udr": lambda a, b: b.contains(a),
-        "gist_equal_udr": lambda a, b: a == b,
-    }
-    server.library.register_module(blade.LIBRARY_PATH, rect_exports)
-    for name, symbol in (
-        ("GS_Overlap", "gist_overlap_udr"),
-        ("GS_Contains", "gist_contains_udr"),
-        ("GS_Within", "gist_within_udr"),
-        ("GS_Equal", "gist_equal_udr"),
-    ):
-        statements.append(
-            f"CREATE FUNCTION {name}(Box, Box) RETURNING boolean "
-            f"EXTERNAL NAME '{blade.LIBRARY_PATH}({symbol})' LANGUAGE c"
-        )
-    # Interval strategies over numbers.
-    num_exports = {
-        "gist_num_eq_udr": lambda a, b: a == b,
-        "gist_num_gt_udr": lambda a, b: a > b,
-        "gist_num_ge_udr": lambda a, b: a >= b,
-        "gist_num_lt_udr": lambda a, b: a < b,
-        "gist_num_le_udr": lambda a, b: a <= b,
-    }
-    server.library.register_module(blade.LIBRARY_PATH, num_exports)
-    for type_name in ("INTEGER", "FLOAT"):
-        for name, symbol in (
-            ("GS_NumEqual", "gist_num_eq_udr"),
-            ("GS_GreaterThan", "gist_num_gt_udr"),
-            ("GS_GreaterThanOrEqual", "gist_num_ge_udr"),
-            ("GS_LessThan", "gist_num_lt_udr"),
-            ("GS_LessThanOrEqual", "gist_num_le_udr"),
-        ):
-            statements.append(
-                f"CREATE FUNCTION {name}({type_name}, {type_name}) "
-                f"RETURNING boolean "
-                f"EXTERNAL NAME '{blade.LIBRARY_PATH}({symbol})' LANGUAGE c"
-            )
-    slots = ", ".join(
-        f"am_{slot} = gs_{slot}"
-        for slot in (
-            "create", "drop", "open", "close", "beginscan", "endscan",
-            "rescan", "getnext", "insert", "delete", "update", "scancost",
-            "stats", "check",
-        )
-    )
-    statements.append(
-        f'CREATE SECONDARY ACCESS_METHOD {blade.AM_NAME} ({slots}, '
-        f'am_sptype = "S")'
-    )
-    statements.append(
-        f"CREATE DEFAULT OPCLASS gist_rect_ops FOR {blade.AM_NAME} "
-        f"STRATEGIES(GS_Overlap, GS_Contains, GS_Within, GS_Equal)"
-    )
-    statements.append(
-        f"CREATE OPCLASS gist_interval_ops FOR {blade.AM_NAME} "
-        f"STRATEGIES(GS_NumEqual, GS_GreaterThan, GS_GreaterThanOrEqual, "
-        f"GS_LessThan, GS_LessThanOrEqual)"
-    )
-    statements.append(
-        f"CREATE TABLE {blade.METADATA_TABLE} "
-        f"(indexname LVARCHAR, blobhandle LVARCHAR)"
-    )
-    with server.provisioning():
-        server.run_script(";\n".join(statements))
-
+    blade = GistDataBlade(server).install()
     blade.register_extension("gist_rect_ops", RectExtension())
     blade.register_extension("gist_interval_ops", IntervalExtension())
     return blade

@@ -13,11 +13,10 @@ and the :class:`~repro.hblade.guard.PrecisionGuard` keeps the two paths
 consistent under concurrent structure modifications.
 """
 
-from repro.hblade.blade import HybridDataBlade, hb_hash_udr
+from repro.hblade.blade import HybridDataBlade, hb_hash_udr, register_hybrid_blade
 from repro.hblade.check import verify_hybrid
 from repro.hblade.directory import HashDirectory, fnv1a
 from repro.hblade.guard import PrecisionGuard
-from repro.hblade.register import register_hybrid_blade
 
 __all__ = [
     "HashDirectory",

@@ -15,7 +15,9 @@ write second -- each behind its own ``SET FAULT`` failpoint), and a
 hash-path probe that overlaps a publication falls back to the tree path
 instead of trusting the possibly-torn hash view.
 
-Step 4 extensibility works as in the B+-tree blade, doubled: the
+The blade *is* the B+-tree blade (:mod:`repro.bblade.blade`: key codec,
+range planning, dynamic support resolution) plus the hash side.  Step 4
+extensibility works as there, doubled: the
 operator class supplies *two* support functions, ``HB_Compare`` for the
 tree order and ``HB_Hash`` for bucket placement, both resolved
 dynamically at call time.  Contract between them: values that compare
@@ -26,47 +28,22 @@ comparator equality -- the blade canonicalizes the one stock violation
 
 from __future__ import annotations
 
-import struct
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
-from repro.btree.node import BTreeNodeStore
-from repro.btree.tree import BPlusTree
-from repro.datablade.blob import BladeBlob
+from repro.bblade.blade import (
+    INDEXABLE_TYPES,
+    BTreeDataBlade,
+    comparison_strategies,
+    comparison_udrs,
+    range_bounds,
+)
+from repro.datablade.bladesmith import OpclassDefinition
+from repro.datablade.kit import MaterializedScan, save_root
 from repro.hblade.check import verify_hybrid
 from repro.hblade.directory import HashDirectory, fnv1a
 from repro.hblade.guard import PrecisionGuard
-from repro.server.access_method import (
-    BooleanOperator,
-    CompoundQualification,
-    IndexDescriptor,
-    Qualification,
-    RowReference,
-    ScanDescriptor,
-    SimpleQualification,
-)
+from repro.server.access_method import IndexDescriptor
 from repro.server.errors import AccessMethodError
-from repro.storage.buffer import BufferPool
-from repro.storage.sbspace import LargeObjectHandle, OpenMode
-
-_TREE_META = struct.Struct("<4sqqq")
-_TREE_MAGIC = b"HTB1"
-
-#: Strategy name -> (low, high, low_inclusive, high_inclusive) template.
-_RANGES = {
-    "equal": ("K", "K", True, True),
-    "greaterthan": ("K", None, False, True),
-    "greaterthanorequal": ("K", None, True, True),
-    "lessthan": (None, "K", True, False),
-    "lessthanorequal": (None, "K", True, True),
-}
-
-_COMMUTED = {
-    "equal": "equal",
-    "greaterthan": "lessthan",
-    "greaterthanorequal": "lessthanorequal",
-    "lessthan": "greaterthan",
-    "lessthanorequal": "greaterthanorequal",
-}
 
 #: am_scancost terms: a hash probe is one bucket chain, a tree branch a
 #: root-to-leaf descent plus leaf walking.
@@ -86,507 +63,6 @@ def _canonical(value: Any) -> Any:
     return value
 
 
-class HybridDataBlade:
-    LIBRARY_PATH = "usr/functions/hblade.bld"
-    AM_NAME = "hblade_am"
-    OPCLASS_NAME = "hblade_ops"
-    METADATA_TABLE = "hblade_indexdata"
-
-    def __init__(
-        self,
-        server,
-        buffer_capacity: int = 64,
-        handle_cache: bool = True,
-    ) -> None:
-        self.server = server
-        self.buffer_capacity = buffer_capacity
-        #: Keep tree/directory/pool/BLOB objects of closed indices for
-        #: the next ``hb_open`` (same storage-epoch contract as the
-        #: GR-tree blade); the BLOBs still open and close per statement.
-        self.handle_cache = handle_cache
-        self._handles: Dict[str, Dict[str, Any]] = {}
-        #: One guard per index name; guards are process-local state (a
-        #: crash drops them with the rest of volatile memory).
-        self._guards: Dict[str, PrecisionGuard] = {}
-
-    # ------------------------------------------------------------------
-    # Codec and dynamic support resolution (Step 4)
-    # ------------------------------------------------------------------
-
-    def _key_type(self, td: IndexDescriptor):
-        return self.server.catalog.types.get(td.column_types[0])
-
-    def _support_name(self, td: IndexDescriptor, needle: str) -> str:
-        opclass = self.server.catalog.opclasses.get(td.opclass_names[0])
-        for name in opclass.supports:
-            if needle in name.lower():
-                return name
-        raise AccessMethodError(
-            f"operator class {opclass.name} declares no {needle} support"
-        )
-
-    def _comparator(self, td: IndexDescriptor):
-        compare_name = self._support_name(td, "compare")
-        key_type = self._key_type(td)
-        type_name = key_type.name
-        routines = self.server.catalog.routines
-
-        def compare(a: bytes, b: bytes) -> int:
-            routine = routines.resolve(compare_name, (type_name, type_name))
-            routines.invocations += 1
-            return routine(key_type.receive(a), key_type.receive(b))
-
-        return compare
-
-    def _hasher(self, td: IndexDescriptor):
-        """The bucket-placement function over *encoded* keys, routed
-        through the opclass's ``HB_Hash`` support UDR."""
-        hash_name = self._support_name(td, "hash")
-        key_type = self._key_type(td)
-        type_name = key_type.name
-        routines = self.server.catalog.routines
-
-        def hash_key(key: bytes) -> int:
-            routine = routines.resolve(hash_name, (type_name,))
-            routines.invocations += 1
-            return routine(key_type.receive(key))
-
-        return hash_key
-
-    def _encode(self, td: IndexDescriptor, value: Any) -> bytes:
-        return self._key_type(td).send(_canonical(value))
-
-    # ------------------------------------------------------------------
-    # Helpers
-    # ------------------------------------------------------------------
-
-    def _params(self, td: IndexDescriptor) -> Dict[str, Any]:
-        return td.parameters or {}
-
-    def _capacity(self, td: IndexDescriptor) -> int:
-        return int(self._params(td).get("buffer_capacity", self.buffer_capacity))
-
-    def _hash_path_enabled(self, td: IndexDescriptor) -> bool:
-        value = self._params(td).get("hash_path", True)
-        if isinstance(value, str):
-            return value.strip().lower() in ("true", "on", "yes", "1")
-        return bool(value)
-
-    def _guard(self, index_name: str) -> PrecisionGuard:
-        return self._guards.setdefault(index_name.lower(), PrecisionGuard())
-
-    def _metadata_table(self):
-        return self.server.catalog.get_table(self.METADATA_TABLE)
-
-    def _metadata_row(self, index_name: str) -> Tuple[int, Dict[str, Any]]:
-        for rowid, row in self._metadata_table().scan():
-            if row["indexname"] == index_name:
-                return rowid, row
-        raise AccessMethodError(
-            f"no {self.METADATA_TABLE} record for index {index_name}"
-        )
-
-    def _obs(self):
-        return getattr(self.server, "obs", None)
-
-    def _inc(self, name: str, amount: float = 1) -> None:
-        obs = self._obs()
-        if obs is not None:
-            obs.inc(name, amount)
-
-    def _faults(self):
-        return getattr(self.server, "faults", None)
-
-    def _new_pool(self, blob: BladeBlob, td: IndexDescriptor) -> BufferPool:
-        return BufferPool(
-            blob.page_store(),
-            capacity=self._capacity(td),
-            faults=self._faults(),
-        )
-
-    def _attach_obs(self, td: IndexDescriptor) -> None:
-        obs = self._obs()
-        if obs is not None:
-            obs.attach_buffer_pool(
-                f"index.{td.index_name}.tree", td.user_data["tree_pool"]
-            )
-            obs.attach_buffer_pool(
-                f"index.{td.index_name}.hash", td.user_data["hash_pool"]
-            )
-
-    # ------------------------------------------------------------------
-    # Purpose functions
-    # ------------------------------------------------------------------
-
-    def hb_create(self, td: IndexDescriptor) -> int:
-        if len(td.columns) != 1:
-            raise AccessMethodError(f"{self.AM_NAME} indexes exactly one column")
-        # A cached handle under the same name (dropped + recreated
-        # index) must never shadow the fresh BLOBs.
-        self._handles.pop(td.index_name.lower(), None)
-        self._guards.pop(td.index_name.lower(), None)
-        space = self.server.get_sbspace(td.space_name)
-        tree_blob = BladeBlob.create(space)
-        hash_blob = BladeBlob.create(space)
-        self._metadata_table().insert_row(
-            {
-                "indexname": td.index_name,
-                "treehandle": tree_blob.handle.value,
-                "hashhandle": hash_blob.handle.value,
-            }
-        )
-        tree_blob.open(td.session, OpenMode.WRITE)
-        hash_blob.open(td.session, OpenMode.WRITE)
-        tree_pool = self._new_pool(tree_blob, td)
-        hash_pool = self._new_pool(hash_blob, td)
-        tree_meta = tree_pool.allocate()
-        tree = BPlusTree(BTreeNodeStore(tree_pool), self._comparator(td))
-        directory = HashDirectory.create(
-            hash_pool,
-            self._hasher(td),
-            initial_buckets=int(self._params(td).get("buckets", 8)),
-            split_threshold=int(self._params(td).get("split_threshold", 16)),
-        )
-        td.user_data.update(
-            {
-                "tree": tree,
-                "directory": directory,
-                "tree_blob": tree_blob,
-                "hash_blob": hash_blob,
-                "tree_pool": tree_pool,
-                "hash_pool": hash_pool,
-                "tree_meta": tree_meta,
-                "epoch": self.server.storage_epoch,
-            }
-        )
-        self._attach_obs(td)
-        return 0
-
-    def _revive_handle(self, td: IndexDescriptor) -> bool:
-        """Reattach cached structures from a previous close, if storage
-        has not been rewritten underneath them (same contract as the
-        GR-tree blade: live blob objects + unchanged storage epoch)."""
-        key = td.index_name.lower()
-        entry = self._handles.get(key)
-        if entry is None:
-            return False
-        try:
-            same_store = (
-                entry["tree_blob"].page_store() is entry["tree_pool"].store
-                and entry["hash_blob"].page_store() is entry["hash_pool"].store
-            )
-        except Exception:
-            same_store = False  # BLOB dropped or sbspace re-initialised
-        if not same_store or entry["epoch"] != self.server.storage_epoch:
-            del self._handles[key]
-            return False
-        entry["tree_blob"].open(td.session, OpenMode.READ)
-        try:
-            entry["hash_blob"].open(td.session, OpenMode.READ)
-        except BaseException:
-            # Cleanup-then-reraise: BaseException so a SimulatedCrash
-            # still releases the half-opened tree blob, then propagates.
-            entry["tree_blob"].close()
-            raise
-        td.user_data.update(entry)
-        self._attach_obs(td)
-        return True
-
-    def hb_open(self, td: IndexDescriptor) -> int:
-        if "tree" in td.user_data:
-            if td.user_data.get("epoch") == self.server.storage_epoch:
-                return 0
-            # Stale attachment from an interrupted close: storage was
-            # rewritten underneath it (rollback/recovery bumps the
-            # epoch); reusing it would resurrect rolled-back entries.
-            td.user_data.clear()
-        if self.handle_cache and self._revive_handle(td):
-            return 0
-        _, row = self._metadata_row(td.index_name)
-        space = self.server.get_sbspace(td.space_name)
-        tree_blob = BladeBlob(space, LargeObjectHandle(row["treehandle"]))
-        hash_blob = BladeBlob(space, LargeObjectHandle(row["hashhandle"]))
-        tree_blob.open(td.session, OpenMode.READ)
-        try:
-            hash_blob.open(td.session, OpenMode.READ)
-        except BaseException:
-            # Cleanup-then-reraise: BaseException so a SimulatedCrash
-            # still releases the half-opened tree blob, then propagates.
-            tree_blob.close()
-            raise
-        tree_pool = self._new_pool(tree_blob, td)
-        hash_pool = self._new_pool(hash_blob, td)
-        magic, root_id, height, size = _TREE_META.unpack_from(
-            tree_pool.read(0), 0
-        )
-        if magic != _TREE_MAGIC:
-            raise AccessMethodError(
-                f"index {td.index_name} tree storage is corrupt"
-            )
-        tree = BPlusTree(
-            BTreeNodeStore(tree_pool),
-            self._comparator(td),
-            root_id=root_id,
-            height=height,
-            size=size,
-        )
-        directory = HashDirectory.open(
-            hash_pool,
-            self._hasher(td),
-            split_threshold=int(self._params(td).get("split_threshold", 16)),
-        )
-        td.user_data.update(
-            {
-                "tree": tree,
-                "directory": directory,
-                "tree_blob": tree_blob,
-                "hash_blob": hash_blob,
-                "tree_pool": tree_pool,
-                "hash_pool": hash_pool,
-                "tree_meta": 0,
-                "epoch": self.server.storage_epoch,
-            }
-        )
-        self._attach_obs(td)
-        return 0
-
-    def hb_close(self, td: IndexDescriptor) -> int:
-        tree: BPlusTree = td.user_data["tree"]
-        directory: HashDirectory = td.user_data["directory"]
-        tree_blob: BladeBlob = td.user_data["tree_blob"]
-        hash_blob: BladeBlob = td.user_data["hash_blob"]
-        tree_pool: BufferPool = td.user_data["tree_pool"]
-        hash_pool: BufferPool = td.user_data["hash_pool"]
-        if tree_blob._open_mode is OpenMode.WRITE:
-            tree_pool.write(
-                td.user_data["tree_meta"],
-                _TREE_META.pack(
-                    _TREE_MAGIC, tree.root_id, tree.height, tree.size
-                ),
-            )
-        if hash_blob._open_mode is OpenMode.WRITE:
-            directory.save()
-        tree_pool.flush()
-        hash_pool.flush()
-        tree_blob.close()
-        hash_blob.close()
-        if self.handle_cache:
-            self._handles[td.index_name.lower()] = {
-                "tree": tree,
-                "directory": directory,
-                "tree_blob": tree_blob,
-                "hash_blob": hash_blob,
-                "tree_pool": tree_pool,
-                "hash_pool": hash_pool,
-                "tree_meta": td.user_data["tree_meta"],
-                "epoch": self.server.storage_epoch,
-            }
-        td.user_data.clear()
-        return 0
-
-    def hb_drop(self, td: IndexDescriptor) -> int:
-        if "tree" not in td.user_data:
-            self.hb_open(td)
-        td.user_data["tree_blob"].drop()
-        td.user_data["hash_blob"].drop()
-        td.user_data.clear()
-        self._handles.pop(td.index_name.lower(), None)
-        self._guards.pop(td.index_name.lower(), None)
-        rowid, _ = self._metadata_row(td.index_name)
-        self._metadata_table().delete_row(rowid)
-        return 0
-
-    # -- scanning ------------------------------------------------------
-
-    def hb_beginscan(self, sd: ScanDescriptor) -> int:
-        if sd.qualification is None:
-            raise AccessMethodError("hb_beginscan needs a qualification")
-        td = sd.index
-        branches = self._to_dnf(sd.qualification)
-        scan = _HScan(self, td, branches)
-        sd.user_data["scan"] = scan
-        obs = self._obs()
-        if obs is not None and obs.enabled:
-            with obs.span(
-                "hblade.scan",
-                index=td.index_name,
-                path=scan.path,
-                hash_branches=scan.hash_branches,
-                tree_branches=scan.tree_branches,
-            ):
-                pass
-        return 0
-
-    def hb_rescan(self, sd: ScanDescriptor) -> int:
-        sd.user_data["scan"].reset()
-        return 0
-
-    def hb_getnext(self, sd: ScanDescriptor) -> Optional[RowReference]:
-        return sd.user_data["scan"].next()
-
-    def hb_endscan(self, sd: ScanDescriptor) -> int:
-        sd.user_data.pop("scan", None)
-        return 0
-
-    # -- updates -------------------------------------------------------
-
-    def hb_insert(self, td: IndexDescriptor, newrow, newrowid: int) -> int:
-        td.user_data["tree_blob"].ensure_writable()
-        td.user_data["hash_blob"].ensure_writable()
-        key = self._encode(td, newrow[0])
-        directory: HashDirectory = td.user_data["directory"]
-        faults = self._faults()
-        rehashes_before = directory.rehashes
-        with self._guard(td.index_name).publishing(key):
-            # Hash side first, tree side second: the window between the
-            # two is exactly what the guard and the crash matrix probe.
-            if faults is not None:
-                faults.hit("hblade.hash_write")
-            directory.insert(key, newrowid)
-            if faults is not None:
-                faults.hit("hblade.tree_write")
-            td.user_data["tree"].insert(key, newrowid)
-        self._inc("hblade.inserts")
-        if directory.rehashes != rehashes_before:
-            self._inc("hblade.rehashes")
-        return 0
-
-    def hb_delete(self, td: IndexDescriptor, oldrow, oldrowid: int) -> int:
-        td.user_data["tree_blob"].ensure_writable()
-        td.user_data["hash_blob"].ensure_writable()
-        key = self._encode(td, oldrow[0])
-        directory: HashDirectory = td.user_data["directory"]
-        faults = self._faults()
-        with self._guard(td.index_name).publishing(key):
-            if faults is not None:
-                faults.hit("hblade.hash_write")
-            hash_found = directory.delete(key, oldrowid)
-            if faults is not None:
-                faults.hit("hblade.tree_write")
-            tree_found = td.user_data["tree"].delete(key, oldrowid)
-        if not (hash_found and tree_found):
-            raise AccessMethodError(
-                f"index {td.index_name} has no entry for rowid {oldrowid} "
-                f"(hash={hash_found}, tree={tree_found})"
-            )
-        self._inc("hblade.deletes")
-        return 0
-
-    def hb_update(self, td, oldrow, oldrowid: int, newrow, newrowid: int) -> int:
-        self.hb_delete(td, oldrow, oldrowid)
-        self.hb_insert(td, newrow, newrowid)
-        return 0
-
-    # -- cost, stats, integrity ----------------------------------------
-
-    def hb_scancost(self, sd: ScanDescriptor) -> float:
-        """The optimizer hook: equality branches are priced as hash
-        probes, range branches as tree descents -- so against a plain
-        B+-tree index on the same column, equality predicates route
-        here and the plan output shows it."""
-        td = sd.index
-        tree = td.user_data.get("tree")
-        if tree is None:
-            entry = self._handles.get(td.index_name.lower())
-            tree = entry["tree"] if entry else None
-        height = tree.height if tree is not None else 2
-        hash_on = self._hash_path_enabled(td)
-        cost = 0.0
-        for branch in self._to_dnf(sd.qualification):
-            if hash_on and self._is_point(branch):
-                cost += _POINT_COST
-            else:
-                cost += height + _RANGE_COST_PAD
-        return cost
-
-    def _is_point(self, branch) -> bool:
-        """Equality-only detection without an open index: a branch whose
-        templates pin both bounds to one constant."""
-        lows = [c for name, c in branch if _RANGES[name][0] == "K"]
-        highs = [c for name, c in branch if _RANGES[name][1] == "K"]
-        return bool(
-            lows
-            and highs
-            and any(name == "equal" for name, _ in branch)
-        )
-
-    def hb_stats(self, td: IndexDescriptor) -> Dict[str, float]:
-        tree: BPlusTree = td.user_data["tree"]
-        directory: HashDirectory = td.user_data["directory"]
-        stats: Dict[str, float] = dict(tree.stats())
-        for name, value in directory.stats().items():
-            stats[f"hash_{name}"] = value
-        guard = self._guard(td.index_name)
-        stats["guard_fallbacks"] = guard.fallbacks
-        return stats
-
-    def hb_check(self, td: IndexDescriptor) -> int:
-        try:
-            verify_hybrid(td.user_data["tree"], td.user_data["directory"])
-        except AssertionError as exc:
-            raise AccessMethodError(
-                f"index {td.index_name} corrupt: {exc}"
-            ) from exc
-        return 0
-
-    # -- qualification handling ----------------------------------------
-
-    def _to_dnf(self, qual: Qualification):
-        if isinstance(qual, SimpleQualification):
-            name = qual.function.lower()
-            if name.startswith("hb_"):
-                name = name[3:]
-            if name not in _RANGES:
-                raise AccessMethodError(
-                    f"{qual.function} is not a hybrid-AM strategy function"
-                )
-            if qual.constant_first:
-                name = _COMMUTED[name]
-            return [[(name, qual.constant)]]
-        assert isinstance(qual, CompoundQualification)
-        child_dnfs = [self._to_dnf(c) for c in qual.children]
-        if qual.operator is BooleanOperator.OR:
-            return [branch for dnf in child_dnfs for branch in dnf]
-        result = [[]]
-        for dnf in child_dnfs:
-            result = [prefix + branch for prefix in result for branch in dnf]
-        return result
-
-    # ------------------------------------------------------------------
-
-    def exports(self) -> Dict[str, Any]:
-        purpose = {
-            "hb_create": self.hb_create,
-            "hb_drop": self.hb_drop,
-            "hb_open": self.hb_open,
-            "hb_close": self.hb_close,
-            "hb_beginscan": self.hb_beginscan,
-            "hb_endscan": self.hb_endscan,
-            "hb_rescan": self.hb_rescan,
-            "hb_getnext": self.hb_getnext,
-            "hb_insert": self.hb_insert,
-            "hb_delete": self.hb_delete,
-            "hb_update": self.hb_update,
-            "hb_scancost": self.hb_scancost,
-            "hb_stats": self.hb_stats,
-            "hb_check": self.hb_check,
-        }
-        strategies = {
-            "hb_equal_udr": lambda a, b: _natural(a, b) == 0,
-            "hb_gt_udr": lambda a, b: _natural(a, b) > 0,
-            "hb_ge_udr": lambda a, b: _natural(a, b) >= 0,
-            "hb_lt_udr": lambda a, b: _natural(a, b) < 0,
-            "hb_le_udr": lambda a, b: _natural(a, b) <= 0,
-            "hb_compare_udr": _natural,
-            "hb_hash_udr": hb_hash_udr,
-        }
-        return {**purpose, **strategies}
-
-
-def _natural(a, b) -> int:
-    return (a > b) - (a < b)
-
-
 def hb_hash_udr(value) -> int:
     """The default ``HB_Hash`` support: deterministic FNV-1a over the
     value's canonical text.  Satisfies the opclass contract with the
@@ -594,111 +70,234 @@ def hb_hash_udr(value) -> int:
     return fnv1a(repr(_canonical(value)).encode("utf-8"))
 
 
-class _HScan:
-    """DNF scan routing each branch to its path, with deduplication."""
+class HybridDataBlade(BTreeDataBlade):
+    PREFIX = "hb"
+    LIBRARY_PATH = "usr/functions/hblade.bld"
+    AM_NAME = "hblade_am"
+    METADATA_TABLE = "hblade_indexdata"
+    METADATA_COLUMNS = (
+        ("indexname", "LVARCHAR"),
+        ("treehandle", "LVARCHAR"),
+        ("hashhandle", "LVARCHAR"),
+    )
+    OPCLASSES = (
+        OpclassDefinition(
+            "hblade_ops",
+            INDEXABLE_TYPES,
+            strategies=comparison_strategies("HB"),
+            supports=(
+                ("HB_Compare", "hb_compare_udr", "int", 2),
+                ("HB_Hash", "hb_hash_udr", "int", 1),
+            ),
+        ),
+    )
+    COMMUTATORS = (
+        ("HB_GreaterThan", "HB_LessThan"),
+        ("HB_LessThan", "HB_GreaterThan"),
+        ("HB_GreaterThanOrEqual", "HB_LessThanOrEqual"),
+        ("HB_LessThanOrEqual", "HB_GreaterThanOrEqual"),
+        ("HB_Equal", "HB_Equal"),
+    )
+    NEGATORS = ()
+    BLOBS = ("tree", "hash")
+    MAGIC = b"HTB1"
 
-    def __init__(self, blade: HybridDataBlade, td: IndexDescriptor, branches):
-        self.blade = blade
-        self.td = td
-        self.tree: BPlusTree = td.user_data["tree"]
-        self.directory: HashDirectory = td.user_data["directory"]
-        self.guard = blade._guard(td.index_name)
-        self.key_type = blade._key_type(td)
-        self.hash_enabled = blade._hash_path_enabled(td)
-        self.branches = branches
-        self.hash_branches = 0
-        self.tree_branches = 0
-        self.path = "tree"
-        self.reset()
+    def __init__(self, server) -> None:
+        super().__init__(server)
+        #: One guard per index name; guards are process-local state (a
+        #: crash drops them with the rest of volatile memory).
+        self._guards: Dict[str, PrecisionGuard] = {}
 
-    def _bounds(self, branch):
-        """Intersect the branch's range predicates into one interval."""
-        low = high = None
-        low_inc = high_inc = True
-        for name, constant in branch:
-            key = self.key_type.send(_canonical(constant))
-            t_low, t_high, t_low_inc, t_high_inc = _RANGES[name]
-            if t_low == "K":
-                if low is None or self.tree.compare(key, low) > 0 or (
-                    self.tree.compare(key, low) == 0 and not t_low_inc
-                ):
-                    low, low_inc = key, t_low_inc
-            if t_high == "K":
-                if high is None or self.tree.compare(key, high) < 0 or (
-                    self.tree.compare(key, high) == 0 and not t_high_inc
-                ):
-                    high, high_inc = key, t_high_inc
-        return low, high, low_inc, high_inc
+    def _guard(self, index_name: str) -> PrecisionGuard:
+        return self._guards.setdefault(index_name.lower(), PrecisionGuard())
 
-    def _probe_hash(self, key: bytes) -> Tuple[List[Tuple[int, int]], bool]:
+    def forget(self, index_name: str) -> None:
+        super().forget(index_name)
+        self._guards.pop(index_name.lower(), None)
+
+    # ------------------------------------------------------------------
+    # Hooks
+    # ------------------------------------------------------------------
+
+    def encode(self, td: IndexDescriptor, value: Any) -> bytes:
+        return super().encode(td, _canonical(value))
+
+    def validate(self, td: IndexDescriptor) -> None:
+        super().validate(td)
+        self._support(td, "hash", 1)
+
+    def option_spec(self):
+        """``hash_path = 'off'`` serves point lookups from the tree too;
+        ``buckets``/``split_threshold`` shape the hash directory."""
+        return {
+            **super().option_spec(),
+            "hash_path": (True, 0),
+            "buckets": (8, 1),
+            "split_threshold": (16, 1),
+        }
+
+    def build(self, td, pools, meta, options, obs) -> Dict[str, Any]:
+        fresh = meta is None
+        tree = self._open_tree(td, pools["tree"], fresh)
+        hasher = self._support(td, "hash", 1)
+        if fresh:
+            directory = HashDirectory.create(
+                pools["hash"],
+                hasher,
+                initial_buckets=options["buckets"],
+                split_threshold=options["split_threshold"],
+            )
+        else:
+            directory = HashDirectory.open(
+                pools["hash"], hasher, split_threshold=options["split_threshold"]
+            )
+        return {"tree": tree, "directory": directory}
+
+    def save(self, td: IndexDescriptor) -> None:
+        save_root(td.user_data["pools"]["tree"], self.MAGIC, td.user_data["tree"])
+        td.user_data["directory"].save()
+
+    # -- scanning ------------------------------------------------------
+
+    def cursor(self, td: IndexDescriptor, branches) -> MaterializedScan:
+        """Route every branch to its path, and say so in a span."""
+        hash_on = td.user_data["options"]["hash_path"]
+        served = {"hash": 0, "tree": 0}
+        scan = MaterializedScan(
+            branches,
+            lambda branch: self._route(td, branch, hash_on, served),
+            lambda key: self.decode(td, key),
+        )
+        obs = self.server.obs
+        if obs.enabled:
+            mixed = served["hash"] and served["tree"]
+            with obs.span(
+                "hblade.scan",
+                index=td.index_name,
+                path="mixed" if mixed else "hash" if served["hash"] else "tree",
+                hash_branches=served["hash"],
+                tree_branches=served["tree"],
+            ):
+                pass
+        return scan
+
+    def _route(self, td, branch, hash_on: bool, served: Dict[str, int]):
+        """An equality branch (bounds collapse to one key) probes the
+        hash side, anything else walks the tree side."""
+        inc = self.server.obs.inc
+        tree = td.user_data["tree"]
+        low, high, low_inc, high_inc = range_bounds(
+            tree, branch, lambda value: self.encode(td, value)
+        )
+        is_point = (
+            low is not None and high is not None
+            and low_inc and high_inc and low == high
+        )
+        inc("hblade.point_lookups" if is_point else "hblade.range_scans")
+        if is_point and hash_on:
+            matches, used_hash = self._probe_hash(td, low)
+            served["hash" if used_hash else "tree"] += 1
+            return [(rowid, fragid, low) for rowid, fragid in matches]
+        served["tree"] += 1
+        inc("hblade.tree_path")
+        return [
+            (rowid, fragid, key)
+            for key, rowid, fragid in tree.search_range(
+                low, high, low_inc, high_inc
+            )
+        ]
+
+    def _probe_hash(self, td, key: bytes) -> Tuple[List[Tuple[int, int]], bool]:
         """The guarded point lookup: probe, then validate against the
         precision guard; any overlap falls back to the tree path.
 
         Returns ``(matches, used_hash)`` so the caller can attribute
         the branch to the path that actually served it."""
-        stamp = self.guard.read_stamp()
-        if not self.guard.conflicts(key):
-            matches = self.directory.lookup(key)
-            if self.guard.validate(key, stamp):
-                self.blade._inc("hblade.hash_path")
+        inc = self.server.obs.inc
+        guard = self._guard(td.index_name)
+        stamp = guard.read_stamp()
+        if not guard.conflicts(key):
+            matches = td.user_data["directory"].lookup(key)
+            if guard.validate(key, stamp):
+                inc("hblade.hash_path")
                 return matches, True
-        self.guard.record_fallback()
-        self.blade._inc("hblade.guard_fallbacks")
-        self.blade._inc("hblade.tree_path")
-        return self.tree.search_equal(key), False
+        guard.record_fallback()
+        inc("hblade.guard_fallbacks")
+        inc("hblade.tree_path")
+        return td.user_data["tree"].search_equal(key), False
 
-    def reset(self) -> None:
-        self._results: List[Tuple[int, int, bytes]] = []
-        self._pos = 0
-        self.hash_branches = 0
-        self.tree_branches = 0
-        seen = set()
-        for branch in self.branches:
-            low, high, low_inc, high_inc = self._bounds(branch)
-            is_point = (
-                low is not None
-                and high is not None
-                and low_inc
-                and high_inc
-                and low == high
+    # -- updates -------------------------------------------------------
+
+    def insert_entry(self, td: IndexDescriptor, key: bytes, rowid: int) -> None:
+        directory: HashDirectory = td.user_data["directory"]
+        faults = self.server.faults
+        rehashes_before = directory.rehashes
+        with self._guard(td.index_name).publishing(key):
+            # Hash side first, tree side second: the window between the
+            # two is exactly what the guard and the crash matrix probe.
+            if faults is not None:
+                faults.hit("hblade.hash_write")
+            directory.insert(key, rowid)
+            if faults is not None:
+                faults.hit("hblade.tree_write")
+            td.user_data["tree"].insert(key, rowid)
+        self.server.obs.inc("hblade.inserts")
+        if directory.rehashes != rehashes_before:
+            self.server.obs.inc("hblade.rehashes")
+
+    def delete_entry(self, td: IndexDescriptor, key: bytes, rowid: int) -> bool:
+        faults = self.server.faults
+        with self._guard(td.index_name).publishing(key):
+            if faults is not None:
+                faults.hit("hblade.hash_write")
+            hash_found = td.user_data["directory"].delete(key, rowid)
+            if faults is not None:
+                faults.hit("hblade.tree_write")
+            tree_found = td.user_data["tree"].delete(key, rowid)
+        if not (hash_found and tree_found):
+            raise AccessMethodError(
+                f"index {td.index_name} has no entry for rowid {rowid} "
+                f"(hash={hash_found}, tree={tree_found})"
             )
-            if is_point and self.hash_enabled:
-                self.blade._inc("hblade.point_lookups")
-                matches, used_hash = self._probe_hash(low)
-                if used_hash:
-                    self.hash_branches += 1
-                else:
-                    self.tree_branches += 1
-                hits = [(rowid, fragid, low) for rowid, fragid in matches]
-            else:
-                self.tree_branches += 1
-                if is_point:
-                    self.blade._inc("hblade.point_lookups")
-                else:
-                    self.blade._inc("hblade.range_scans")
-                self.blade._inc("hblade.tree_path")
-                hits = [
-                    (rowid, fragid, key)
-                    for key, rowid, fragid in self.tree.search_range(
-                        low, high, low_inc, high_inc
-                    )
-                ]
-            for rowid, fragid, key in hits:
-                if (rowid, fragid) not in seen:
-                    seen.add((rowid, fragid))
-                    self._results.append((rowid, fragid, key))
-        if self.hash_branches and self.tree_branches:
-            self.path = "mixed"
-        elif self.hash_branches:
-            self.path = "hash"
-        else:
-            self.path = "tree"
+        self.server.obs.inc("hblade.deletes")
+        return True
 
-    def next(self) -> Optional[RowReference]:
-        if self._pos >= len(self._results):
-            return None
-        rowid, fragid, key = self._results[self._pos]
-        self._pos += 1
-        return RowReference(
-            rowid=rowid, fragid=fragid, row=(self.key_type.receive(key),)
+    # -- cost, stats, integrity ----------------------------------------
+
+    def cost(self, td, structures, branches) -> float:
+        """The optimizer hook: equality branches are priced as hash
+        probes, range branches as tree descents -- so against a plain
+        B+-tree index on the same column, equality predicates route
+        here and the plan output shows it."""
+        hash_on = structures["options"]["hash_path"]
+        descent = structures["tree"].height + _RANGE_COST_PAD
+        # Point detection without an open index: an Equal predicate pins
+        # both bounds of its branch to one constant.
+        return sum(
+            _POINT_COST
+            if hash_on and any(name == "equal" for name, _ in branch)
+            else descent
+            for branch in branches
         )
+
+    def statistics(self, td: IndexDescriptor) -> Dict[str, float]:
+        stats: Dict[str, float] = dict(td.user_data["tree"].stats())
+        for name, value in td.user_data["directory"].stats().items():
+            stats[f"hash_{name}"] = value
+        stats["guard_fallbacks"] = self._guard(td.index_name).fallbacks
+        return stats
+
+    def verify(self, td: IndexDescriptor) -> None:
+        verify_hybrid(td.user_data["tree"], td.user_data["directory"])
+
+    def udrs(self) -> Dict[str, Callable]:
+        return {**comparison_udrs(self.PREFIX), "hb_hash_udr": hb_hash_udr}
+
+
+def register_hybrid_blade(server) -> HybridDataBlade:
+    """Install the hybrid hash + B+-tree DataBlade.  The one ingredient
+    the B+-tree registration lacks is the second support function:
+    ``HB_Hash`` joins ``HB_Compare`` in the opclass SUPPORT list, and an
+    alternative opclass can redefine either half -- order and placement
+    -- as long as comparator-equal values hash equal."""
+    return HybridDataBlade(server).install()

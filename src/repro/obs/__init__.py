@@ -151,13 +151,19 @@ class Observability:
         self.pools[name] = pool
 
         def collect() -> Dict[str, float]:
-            stats = {
-                key: value + base.get(key, 0)
-                for key, value in pool.stats.to_dict().items()
-                if key != "hit_ratio"  # ratios make noisy span deltas
+            # Read per span (twice): plain attribute reads, and no
+            # hit_ratio -- ratios make noisy span deltas.
+            stats = pool.stats
+            collected = {
+                "logical_reads": stats.logical_reads,
+                "physical_reads": stats.physical_reads,
+                "logical_writes": stats.logical_writes,
+                "physical_writes": stats.physical_writes,
             }
-            stats["resident_pages"] = pool.resident_pages
-            return stats
+            for key, value in base.items():
+                collected[key] += value
+            collected["resident_pages"] = pool.resident_pages
+            return collected
 
         self.metrics.register_collector(f"buffer.{name}", collect)
 

@@ -12,31 +12,20 @@ benchmark can compare both dispatch regimes.
 
 from __future__ import annotations
 
-import struct
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Tuple
 
+from repro.datablade.bladesmith import OpclassDefinition
+from repro.datablade.kit import AccessMethodBlade, load_root, save_root
 from repro.rtree.geometry import Rect
 from repro.rtree.node import NodeStore
 from repro.rtree.rstar import RStarTree
-from repro.server.access_method import (
-    CompoundQualification,
-    IndexDescriptor,
-    BooleanOperator,
-    Qualification,
-    RowReference,
-    ScanDescriptor,
-    SimpleQualification,
-)
+from repro.server.access_method import IndexDescriptor, SimpleQualification
 from repro.server.datatypes import OpaqueType
 from repro.server.errors import AccessMethodError, DataTypeError
-from repro.datablade.blob import BladeBlob
-from repro.storage.buffer import BufferPool
-from repro.storage.sbspace import LargeObjectHandle, OpenMode
 
 BOX_TYPE_NAME = "Box"
 
-_META = struct.Struct("<4sqqq")
-_META_MAGIC = b"RTB1"
+_MAGIC = b"RTB1"
 
 
 def box_input(text: str) -> Rect:
@@ -86,178 +75,91 @@ _COMMUTED = {
     "within": "contains",
 }
 
+_UDR_NAMES = {
+    "overlap": "Overlap",
+    "equal": "Equal",
+    "contains": "Contains",
+    "within": "Within",
+}
 
-class RTreeDataBlade:
+
+class RTreeDataBlade(AccessMethodBlade):
     """The R-tree access method over 2-D boxes."""
 
+    PREFIX = "rt"
     LIBRARY_PATH = "usr/functions/rtree.bld"
     AM_NAME = "rtree_am"
-    OPCLASS_NAME = "rtree_ops"
     METADATA_TABLE = "rtree_indexdata"
+    OPCLASSES = (
+        OpclassDefinition(
+            "rtree_ops",
+            (BOX_TYPE_NAME,),
+            strategies=(
+                ("Overlap", "rt_overlap_udr"),
+                ("Equal", "rt_equal_udr"),
+                ("Contains", "rt_contains_udr"),
+                ("Within", "rt_within_udr"),
+            ),
+            supports=(
+                ("RT_Union", "rt_union_udr", "pointer", 2),
+                ("RT_Size", "rt_size_udr", "pointer", 1),
+                ("RT_Inter", "rt_inter_udr", "pointer", 2),
+            ),
+        ),
+    )
 
-    def __init__(self, server, buffer_capacity: int = 64) -> None:
-        self.server = server
-        self.buffer_capacity = buffer_capacity
+    def __init__(self, server) -> None:
+        super().__init__(server)
         #: Dynamic dispatch: strategy tests resolved through the UDR
         #: registry per entry (the extensible design of Section 5.2).
         self.dynamic_dispatch = False
 
-    # -- purpose functions -------------------------------------------------
+    # -- hooks ---------------------------------------------------------------
 
-    def rt_create(self, td: IndexDescriptor) -> int:
+    def validate(self, td: IndexDescriptor) -> None:
         if tuple(t.upper() for t in td.column_types) != (BOX_TYPE_NAME.upper(),):
             raise AccessMethodError(
                 f"{self.AM_NAME} indexes exactly one {BOX_TYPE_NAME} column"
             )
-        space = self.server.get_sbspace(td.space_name)
-        blob = BladeBlob.create(space)
-        meta_table = self.server.catalog.get_table(self.METADATA_TABLE)
-        meta_table.insert_row(
-            {"indexname": td.index_name, "blobhandle": blob.handle.value}
-        )
-        blob.open(td.session, OpenMode.WRITE)
-        pool = BufferPool(blob.page_store(), capacity=self.buffer_capacity)
-        meta_page = pool.allocate()
-        store = NodeStore(pool, ndim=2)
-        tree = RStarTree(store)
-        td.user_data.update(
-            {"tree": tree, "blob": blob, "pool": pool, "meta_page": meta_page}
-        )
-        return 0
 
-    def rt_drop(self, td: IndexDescriptor) -> int:
-        if "tree" not in td.user_data:
-            self.rt_open(td)
-        td.user_data["blob"].drop()
-        td.user_data.clear()
-        meta_table = self.server.catalog.get_table(self.METADATA_TABLE)
-        for rowid, row in meta_table.scan():
-            if row["indexname"] == td.index_name:
-                meta_table.delete_row(rowid)
-                break
-        return 0
+    def build(self, td, pools, meta, options, obs) -> Dict[str, Any]:
+        pool = pools["blob"]
+        root = load_root(pool, _MAGIC, meta is None, td.index_name)
+        return {"tree": RStarTree(NodeStore(pool, ndim=2), **root)}
 
-    def rt_open(self, td: IndexDescriptor) -> int:
-        if "tree" in td.user_data:
-            return 0
-        meta_table = self.server.catalog.get_table(self.METADATA_TABLE)
-        handle_text = None
-        for _, row in meta_table.scan():
-            if row["indexname"] == td.index_name:
-                handle_text = row["blobhandle"]
-                break
-        if handle_text is None:
-            raise AccessMethodError(f"no metadata for index {td.index_name}")
-        space = self.server.get_sbspace(td.space_name)
-        blob = BladeBlob(space, LargeObjectHandle(handle_text))
-        blob.open(td.session, OpenMode.READ)
-        pool = BufferPool(blob.page_store(), capacity=self.buffer_capacity)
-        data = pool.read(0)
-        magic, root_id, height, size = _META.unpack_from(data, 0)
-        if magic != _META_MAGIC:
-            raise AccessMethodError(f"index {td.index_name} storage is corrupt")
-        store = NodeStore(pool, ndim=2)
-        tree = RStarTree(store, root_id=root_id, height=height, size=size)
-        td.user_data.update(
-            {"tree": tree, "blob": blob, "pool": pool, "meta_page": 0}
-        )
-        return 0
+    def save(self, td: IndexDescriptor) -> None:
+        save_root(td.user_data["pools"]["blob"], _MAGIC, td.user_data["tree"])
 
-    def rt_close(self, td: IndexDescriptor) -> int:
-        tree: RStarTree = td.user_data["tree"]
-        pool: BufferPool = td.user_data["pool"]
-        blob: BladeBlob = td.user_data["blob"]
-        if blob._open_mode is OpenMode.WRITE:
-            pool.write(
-                td.user_data["meta_page"],
-                _META.pack(_META_MAGIC, tree.root_id, tree.height, tree.size),
-            )
-        pool.flush()
-        blob.close()
-        td.user_data.clear()
-        return 0
-
-    # -- scanning -----------------------------------------------------------
-
-    def rt_beginscan(self, sd: ScanDescriptor) -> int:
-        if sd.qualification is None:
-            raise AccessMethodError("rt_beginscan needs a qualification")
-        tree: RStarTree = sd.index.user_data["tree"]
-        branches = self._to_dnf(sd.qualification)
-        sd.user_data["scan"] = _RScan(self, tree, branches)
-        return 0
-
-    def rt_rescan(self, sd: ScanDescriptor) -> int:
-        sd.user_data["scan"].reset()
-        return 0
-
-    def rt_getnext(self, sd: ScanDescriptor) -> Optional[RowReference]:
-        return sd.user_data["scan"].next()
-
-    def rt_endscan(self, sd: ScanDescriptor) -> int:
-        sd.user_data.pop("scan", None)
-        return 0
-
-    # -- updates --------------------------------------------------------------
-
-    def rt_insert(self, td: IndexDescriptor, newrow, newrowid: int) -> int:
-        td.user_data["blob"].ensure_writable()
-        td.user_data["tree"].insert(newrow[0], newrowid)
-        return 0
-
-    def rt_delete(self, td: IndexDescriptor, oldrow, oldrowid: int) -> int:
-        td.user_data["blob"].ensure_writable()
-        if not td.user_data["tree"].delete(oldrow[0], oldrowid):
+    def leaf(self, td, qual: SimpleQualification) -> Tuple[str, Rect]:
+        name = qual.function.lower()
+        if name not in _STRATEGIES:
             raise AccessMethodError(
-                f"index {td.index_name} has no entry for rowid {oldrowid}"
+                f"{qual.function} is not an R-tree strategy function"
             )
-        return 0
+        if not isinstance(qual.constant, Rect):
+            raise AccessMethodError(f"{qual.function} constant must be a Box")
+        if qual.constant_first:
+            name = _COMMUTED[name]
+        return name, qual.constant
 
-    def rt_update(self, td, oldrow, oldrowid: int, newrow, newrowid: int) -> int:
-        self.rt_delete(td, oldrow, oldrowid)
-        self.rt_insert(td, newrow, newrowid)
-        return 0
+    def probe(self, td, branch):
+        """Index probe driven by the branch's first predicate, the rest
+        applied to each hit."""
+        tree: RStarTree = td.user_data["tree"]
+        strategy, query = branch[0]
+        stack = [tree.root_id]
+        while stack:
+            node = tree.store.read(stack.pop())
+            for entry in node.entries:
+                if not node.leaf:
+                    if _STRATEGIES[strategy][1](entry.rect, query):
+                        stack.append(entry.child)
+                elif all(self.leaf_test(s, entry.rect, q) for s, q in branch):
+                    yield entry.rowid, entry.fragid, entry.rect
 
-    def rt_scancost(self, sd: ScanDescriptor) -> float:
+    def cost(self, td, structures, branches) -> float:
         # A crude estimate: tree height plus a constant per DNF branch.
-        tree = sd.index.user_data.get("tree")
-        height = tree.height if tree is not None else 2
-        return float(height + len(self._to_dnf(sd.qualification)))
-
-    def rt_stats(self, td: IndexDescriptor) -> Dict[str, float]:
-        return td.user_data["tree"].stats()
-
-    def rt_check(self, td: IndexDescriptor) -> int:
-        try:
-            td.user_data["tree"].check()
-        except AssertionError as exc:
-            raise AccessMethodError(f"index {td.index_name} corrupt: {exc}") from exc
-        return 0
-
-    # -- qualification handling -------------------------------------------
-
-    def _to_dnf(self, qual: Qualification) -> List[List[Tuple[str, Rect]]]:
-        if isinstance(qual, SimpleQualification):
-            name = qual.function.lower()
-            if name not in _STRATEGIES:
-                raise AccessMethodError(
-                    f"{qual.function} is not an R-tree strategy function"
-                )
-            if not isinstance(qual.constant, Rect):
-                raise AccessMethodError(
-                    f"{qual.function} constant must be a Box"
-                )
-            if qual.constant_first:
-                name = _COMMUTED[name]
-            return [[(name, qual.constant)]]
-        assert isinstance(qual, CompoundQualification)
-        child_dnfs = [self._to_dnf(c) for c in qual.children]
-        if qual.operator is BooleanOperator.OR:
-            return [branch for dnf in child_dnfs for branch in dnf]
-        result: List[List[Tuple[str, Rect]]] = [[]]
-        for dnf in child_dnfs:
-            result = [prefix + branch for prefix in result for branch in dnf]
-        return result
+        return structures["tree"].height + len(branches)
 
     def leaf_test(self, strategy: str, entry_rect: Rect, query: Rect) -> bool:
         """Leaf-level test; dynamically dispatched through the UDR
@@ -270,10 +172,8 @@ class RTreeDataBlade:
             return bool(routine(entry_rect, query))
         return _STRATEGIES[strategy][0](entry_rect, query)
 
-    # ------------------------------------------------------------------
-
-    def exports(self) -> Dict[str, Any]:
-        strategies = {
+    def udrs(self) -> Dict[str, Callable]:
+        return {
             "rt_overlap_udr": lambda a, b: a.intersects(b),
             "rt_equal_udr": lambda a, b: a == b,
             "rt_contains_udr": lambda a, b: a.contains(b),
@@ -282,171 +182,9 @@ class RTreeDataBlade:
             "rt_size_udr": lambda a: a.area(),
             "rt_inter_udr": lambda a, b: a.intersection(b),
         }
-        purpose = {
-            "rt_create": self.rt_create,
-            "rt_drop": self.rt_drop,
-            "rt_open": self.rt_open,
-            "rt_close": self.rt_close,
-            "rt_beginscan": self.rt_beginscan,
-            "rt_endscan": self.rt_endscan,
-            "rt_rescan": self.rt_rescan,
-            "rt_getnext": self.rt_getnext,
-            "rt_insert": self.rt_insert,
-            "rt_delete": self.rt_delete,
-            "rt_update": self.rt_update,
-            "rt_scancost": self.rt_scancost,
-            "rt_stats": self.rt_stats,
-            "rt_check": self.rt_check,
-        }
-        return {**strategies, **purpose}
 
 
-_UDR_NAMES = {
-    "overlap": "Overlap",
-    "equal": "Equal",
-    "contains": "Contains",
-    "within": "Within",
-}
-
-
-class _RScan:
-    """DNF scan over the R*-tree with cross-branch de-duplication."""
-
-    def __init__(self, blade, tree, branches) -> None:
-        self.blade = blade
-        self.tree = tree
-        self.branches = branches
-        self.reset()
-
-    def reset(self) -> None:
-        self._results: List[Tuple[int, int, Rect]] = []
-        self._rects: Dict[Tuple[int, int], Rect] = {}
-        self._pos = 0
-        seen = set()
-        for branch in self.branches:
-            strategy, query = branch[0]
-            for rowid, fragid in self._probe(strategy, query):
-                if (rowid, fragid) in seen:
-                    continue
-                rect = self._rect_of(rowid, fragid, query, strategy)
-                if rect is None:
-                    continue
-                if all(
-                    self.blade.leaf_test(s, rect, q) for s, q in branch[1:]
-                ):
-                    seen.add((rowid, fragid))
-                    self._results.append((rowid, fragid, rect))
-
-    def _probe(self, strategy: str, query: Rect):
-        """Index probe with the strategy's leaf test applied."""
-        hits = []
-        stack = [self.tree.root_id]
-        while stack:
-            node = self.tree.store.read(stack.pop())
-            for entry in node.entries:
-                if node.leaf:
-                    if self.blade.leaf_test(strategy, entry.rect, query):
-                        hits.append((entry.rowid, entry.fragid))
-                        self._rects[(entry.rowid, entry.fragid)] = entry.rect
-                else:
-                    if _STRATEGIES[strategy][1](entry.rect, query):
-                        stack.append(entry.child)
-        return hits
-
-    def _rect_of(self, rowid, fragid, query, strategy):
-        return self._rects.get((rowid, fragid))
-
-    def next(self) -> Optional[RowReference]:
-        if self._pos >= len(self._results):
-            return None
-        rowid, fragid, rect = self._results[self._pos]
-        self._pos += 1
-        return RowReference(rowid=rowid, fragid=fragid, row=(rect,))
-
-
-def register_rtree_blade(server, buffer_capacity: int = 64) -> RTreeDataBlade:
+def register_rtree_blade(server) -> RTreeDataBlade:
     """Install the R-tree DataBlade into *server*."""
-    blade = RTreeDataBlade(server, buffer_capacity=buffer_capacity)
     server.types.register(make_box_type())
-    server.library.register_module(RTreeDataBlade.LIBRARY_PATH, blade.exports())
-
-    statements: List[str] = []
-    for slot, symbol in (
-        ("am_create", "rt_create"),
-        ("am_drop", "rt_drop"),
-        ("am_open", "rt_open"),
-        ("am_close", "rt_close"),
-        ("am_beginscan", "rt_beginscan"),
-        ("am_endscan", "rt_endscan"),
-        ("am_rescan", "rt_rescan"),
-        ("am_getnext", "rt_getnext"),
-        ("am_insert", "rt_insert"),
-        ("am_delete", "rt_delete"),
-        ("am_update", "rt_update"),
-        ("am_scancost", "rt_scancost"),
-        ("am_stats", "rt_stats"),
-        ("am_check", "rt_check"),
-    ):
-        statements.append(
-            f"CREATE FUNCTION {symbol}(pointer) RETURNING int "
-            f"EXTERNAL NAME '{blade.LIBRARY_PATH}({symbol})' LANGUAGE c"
-        )
-    for name, symbol in (
-        ("Overlap", "rt_overlap_udr"),
-        ("Equal", "rt_equal_udr"),
-        ("Contains", "rt_contains_udr"),
-        ("Within", "rt_within_udr"),
-    ):
-        statements.append(
-            f"CREATE FUNCTION {name}({BOX_TYPE_NAME}, {BOX_TYPE_NAME}) "
-            f"RETURNING boolean "
-            f"EXTERNAL NAME '{blade.LIBRARY_PATH}({symbol})' LANGUAGE c"
-        )
-    statements.append(
-        f"CREATE FUNCTION RT_Union({BOX_TYPE_NAME}, {BOX_TYPE_NAME}) "
-        f"RETURNING pointer "
-        f"EXTERNAL NAME '{blade.LIBRARY_PATH}(rt_union_udr)' LANGUAGE c"
-    )
-    statements.append(
-        f"CREATE FUNCTION RT_Size({BOX_TYPE_NAME}) RETURNING pointer "
-        f"EXTERNAL NAME '{blade.LIBRARY_PATH}(rt_size_udr)' LANGUAGE c"
-    )
-    statements.append(
-        f"CREATE FUNCTION RT_Inter({BOX_TYPE_NAME}, {BOX_TYPE_NAME}) "
-        f"RETURNING pointer "
-        f"EXTERNAL NAME '{blade.LIBRARY_PATH}(rt_inter_udr)' LANGUAGE c"
-    )
-    slots = ", ".join(
-        f"{slot} = {symbol}"
-        for slot, symbol in (
-            ("am_create", "rt_create"),
-            ("am_drop", "rt_drop"),
-            ("am_open", "rt_open"),
-            ("am_close", "rt_close"),
-            ("am_beginscan", "rt_beginscan"),
-            ("am_endscan", "rt_endscan"),
-            ("am_rescan", "rt_rescan"),
-            ("am_getnext", "rt_getnext"),
-            ("am_insert", "rt_insert"),
-            ("am_delete", "rt_delete"),
-            ("am_update", "rt_update"),
-            ("am_scancost", "rt_scancost"),
-            ("am_stats", "rt_stats"),
-            ("am_check", "rt_check"),
-        )
-    )
-    statements.append(
-        f'CREATE SECONDARY ACCESS_METHOD {blade.AM_NAME} ({slots}, am_sptype = "S")'
-    )
-    statements.append(
-        f"CREATE DEFAULT OPCLASS {blade.OPCLASS_NAME} FOR {blade.AM_NAME} "
-        f"STRATEGIES(Overlap, Equal, Contains, Within) "
-        f"SUPPORT(RT_Union, RT_Size, RT_Inter)"
-    )
-    statements.append(
-        f"CREATE TABLE {blade.METADATA_TABLE} "
-        f"(indexname LVARCHAR, blobhandle LVARCHAR)"
-    )
-    with server.provisioning():
-        server.run_script(";\n".join(statements))
-    return blade
+    return RTreeDataBlade(server).install()
