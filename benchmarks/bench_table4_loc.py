@@ -9,7 +9,9 @@ paper's: writing the purpose functions dwarfs the opaque-type work, and
 BLOB manipulation exceeds qualification-descriptor handling.
 """
 
+import io
 import pathlib
+import tokenize
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -35,24 +37,34 @@ TASKS = [
 
 
 def count_loc(relative: str) -> int:
-    """Non-blank, non-comment, non-docstring-only source lines."""
-    path = SRC / relative.split("::")[0]
-    in_docstring = False
-    count = 0
-    for raw in path.read_text().splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if in_docstring:
-            if line.endswith('"""') or line.endswith("'''"):
-                in_docstring = False
-            continue
-        if line.startswith(('"""', "'''")):
-            if not (len(line) > 3 and line.endswith(('"""', "'''"))):
-                in_docstring = True
-            continue
-        count += 1
-    return count
+    """Non-blank, non-comment, non-docstring-only source lines.
+
+    A docstring is a string that is a statement of its own; the
+    tokenizer finds them, so a triple-quoted string inside code (a
+    verbose regex, say) counts as code, closing line included.
+    """
+    text = (SRC / relative.split("::")[0]).read_text()
+    tokens = [
+        token
+        for token in tokenize.generate_tokens(io.StringIO(text).readline)
+        if token.type not in (tokenize.NL, tokenize.COMMENT)
+    ]
+    starts = (None, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT)
+    docstrings = set()
+    for before, token, after in zip([None, *tokens], tokens, tokens[1:]):
+        if (
+            token.type == tokenize.STRING
+            and getattr(before, "type", None) in starts
+            and after.type == tokenize.NEWLINE
+        ):
+            docstrings.update(range(token.start[0], token.end[0] + 1))
+    return sum(
+        1
+        for number, raw in enumerate(text.splitlines(), start=1)
+        if raw.strip()
+        and not raw.strip().startswith("#")
+        and number not in docstrings
+    )
 
 
 def measure():
@@ -93,3 +105,21 @@ def test_table4_loc(benchmark, write_artifact):
         "task sizes (purpose functions dominating) is the reproduced claim.",
     ]
     write_artifact("table4_loc.txt", "\n".join(lines) + "\n")
+
+
+def test_count_loc_counts_strings_inside_code(tmp_path, monkeypatch):
+    (tmp_path / "m.py").write_text(
+        '"""Module docstring."""\n'
+        "import re\n"
+        "\n"
+        "# a comment\n"
+        'PATTERN = re.compile(r"""\n'
+        "    a+\n"
+        '""")\n'
+        "def f():\n"
+        '    """Docstring\n'
+        '    over two lines."""\n'
+        "    return 1\n"
+    )
+    monkeypatch.setitem(globals(), "SRC", tmp_path)
+    assert count_loc("m.py") == 6

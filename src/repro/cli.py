@@ -17,28 +17,44 @@ Besides SQL, the shell accepts backslash commands:
 ``\\sbspace NAME``                     create a smart-blob space (Step 5)
 ``\\clock``                            show the simulated current time
 ``\\clock +N`` / ``\\clock set TEXT``  advance / set the clock
-``\\trace CLASS LEVEL``                set a trace level (e.g. ``am 1``)
 ``\\messages [CLASS]``                 dump collected trace messages
-``\\stats [json]``                     onstat-style metrics report
-``\\spans [json] [limit N] [conn N]``  recorded statement span trees
-``\\workload [json]``                  per-fingerprint workload model
-``\\events [N]``                       structured event log tail
 ``\\faults``                           armed failpoints + the catalog
 ``\\catalog``                          list tables, indices, AMs, opclasses
 ``\\prefer on|off``                    toggle the virtual-index directive
 ``\\quit``                             leave
+
+and these spellings of admin statements, which print what the SQL does:
+
+``\\trace CLASS LEVEL``                ``SET TRACE CLASS <CLASS> LEVEL <LEVEL>``
+``\\stats [json]``                     ``SHOW STATS [JSON]``
+``\\spans [json] [limit N] [conn N]``  ``SHOW SPANS [JSON] [WHERE
+                                     CONNECTION = N] [LIMIT N]``
+``\\workload [json]``                  ``SHOW WORKLOAD [JSON]``
+``\\events [json] [N]``                ``SHOW EVENTS [JSON] [LIMIT N]``
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Any, List, Optional
 
 from repro.faults import FaultInjected
 from repro.server import DatabaseServer, ServerError
+from repro.server.admin import render
+from repro.server.errors import SqlError
 from repro.temporal.chronon import Granularity
+
+
+#: Shell spellings of admin statements: command -> (the statement it
+#: runs, its shell usage).
+_ALIASES = {
+    "stats": ("SHOW STATS", "[json]"),
+    "spans": ("SHOW SPANS", "[json] [limit N] [conn N]"),
+    "workload": ("SHOW WORKLOAD", "[json]"),
+    "events": ("SHOW EVENTS", "[json] [N]"),
+    "trace": ("SET TRACE CLASS", "CLASS LEVEL"),
+}
 
 
 class Shell:
@@ -112,46 +128,11 @@ class Shell:
             print(f"sbspace {name} created", file=out)
         elif command == "clock":
             self._clock(args, out)
-        elif command == "trace":
-            if len(args) != 2:
-                print("usage: \\trace CLASS LEVEL", file=out)
-                return
-            self.server.trace.set_level(args[0], int(args[1]))
-            print(f"trace {args[0]} at level {args[1]}", file=out)
+        elif command in _ALIASES:
+            self._admin(command, args, out)
         elif command == "messages":
             for message in self.server.trace.messages(args[0] if args else None):
                 print(str(message), file=out)
-        elif command == "stats":
-            if args and args[0].lower() == "json":
-                print(
-                    json.dumps(
-                        self.server.obs.to_dict(),
-                        indent=2,
-                        sort_keys=True,
-                        default=str,
-                    ),
-                    file=out,
-                )
-            else:
-                print(self.server.obs.report(), file=out)
-        elif command == "spans":
-            self._spans(args, out)
-        elif command == "workload":
-            if args and args[0].lower() == "json":
-                print(
-                    json.dumps(
-                        self.server.obs.workload.to_dict(),
-                        indent=2,
-                        sort_keys=True,
-                        default=str,
-                    ),
-                    file=out,
-                )
-            else:
-                print(self.server.obs.workload.report(), file=out)
-        elif command == "events":
-            limit = int(args[0]) if args and args[0].isdigit() else 20
-            print(self.server.obs.events.report(limit), file=out)
         elif command == "faults":
             self._faults(out)
         elif command == "catalog":
@@ -167,46 +148,28 @@ class Shell:
         else:
             print(f"unknown command \\{command} (try \\help)", file=out)
 
-    def _spans(self, args: List[str], out) -> None:
-        """``\\spans [json] [limit N] [conn N]`` -- filtered span trees."""
-        as_json = False
-        limit = None
-        connection = None
-        index = 0
-        while index < len(args):
-            token = args[index].lower()
-            if token == "json":
-                as_json = True
-                index += 1
-            elif token in ("limit", "conn") and index + 1 < len(args):
-                try:
-                    value = int(args[index + 1])
-                except ValueError:
-                    print(f"\\spans: {token} wants a number", file=out)
-                    return
-                if token == "limit":
-                    limit = value
-                else:
-                    connection = value
-                index += 2
-            else:
-                print("usage: \\spans [json] [limit N] [conn N]", file=out)
-                return
-        spans = self.server.obs.spans
-        if as_json:
-            print(
-                json.dumps(
-                    spans.to_dicts(connection=connection, limit=limit),
-                    indent=2,
-                    sort_keys=True,
-                    default=str,
-                ),
-                file=out,
-            )
-        else:
-            print(
-                spans.format_trees(limit, connection=connection), file=out
-            )
+    def _admin(self, command: str, args: List[str], out) -> None:
+        """An admin statement in its shell spelling, run through
+        ``server.execute`` so it prints exactly what the SQL prints."""
+        statement, usage = _ALIASES[command]
+        words = [word for word in args if word.lower() != "json"]
+        if len(words) < len(args):
+            statement += " JSON"
+        if command == "spans":
+            words = [
+                "WHERE CONNECTION =" if w.lower() == "conn" else w for w in words
+            ]
+        elif command == "events" and words:
+            words.insert(0, "LIMIT")
+        elif command == "trace":
+            words.insert(1, "LEVEL")
+        statement = " ".join([statement, *words])
+        try:
+            result = self.server.execute(statement, self.session)
+        except SqlError as exc:
+            print(f"error: {exc}\nusage: \\{command} {usage}", file=out)
+            return
+        self._render(result, out)
 
     def _install(self, blade: str, out) -> None:
         if blade in self._installed:
@@ -360,7 +323,7 @@ def stats_main(argv: List[str], out=None) -> int:
         payload = obs.to_dict()
         if not options.spans:
             payload.pop("spans", None)
-        print(json.dumps(payload, indent=2, sort_keys=True, default=str), file=out)
+        print(render(payload), file=out)
     else:
         print(obs.report(), file=out)
         if options.spans:

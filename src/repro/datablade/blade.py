@@ -204,10 +204,10 @@ class GRTreeDataBlade(AccessMethodBlade):
             # invalidates the compiled code too.
             tree.spec = SpecializedOps()
         if obs is not None:
-            name = self._pool_name(td, "blob")
-            obs.attach_node_cache(name, store)
+            name = self._obs_name(td.index_name, "blob")
+            obs.attach("nodecache", name, store)
             if tree.spec is not None:
-                obs.attach_specializer(name, tree.spec)
+                obs.attach("spec", name, tree.spec)
             tree.obs = obs
         return {"tree": tree, "store": store}
 

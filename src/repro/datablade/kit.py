@@ -210,8 +210,14 @@ class AccessMethodBlade:
 
     def forget(self, index_name: str) -> None:
         """Drop per-index state kept across statements (the index is
-        being created or dropped under this name)."""
+        being created or dropped under this name): the cached handle,
+        and whatever observability exports under the name, counters
+        included."""
         self._handles.pop(index_name.lower(), None)
+        obs = self.server.obs
+        for blob in self.BLOBS:
+            for kind in obs.attached:
+                obs.attach(kind, self._obs_name(index_name, blob), None)
 
     # ------------------------------------------------------------------
     # Registration (BladeManager stand-in)
@@ -282,8 +288,9 @@ class AccessMethodBlade:
             )
         return td.user_data
 
-    def _pool_name(self, td: IndexDescriptor, blob_name: str) -> str:
-        name = f"index.{td.index_name}"
+    def _obs_name(self, index_name: str, blob_name: str) -> str:
+        """The name a blob's pool (and structures) are exported under."""
+        name = f"index.{index_name}"
         return name if len(self.BLOBS) == 1 else f"{name}.{blob_name}"
 
     def _attach(self, td: IndexDescriptor, blobs, meta) -> None:
@@ -299,7 +306,7 @@ class AccessMethodBlade:
             )
             # Reopening replaces the previous pool under the same name,
             # so ``SHOW STATS`` always shows the live pool of each index.
-            obs.attach_buffer_pool(self._pool_name(td, name), pools[name])
+            obs.attach("buffer", self._obs_name(td.index_name, name), pools[name])
         td.user_data.update(
             self.build(td, pools, meta, options, obs),
             blobs=blobs,

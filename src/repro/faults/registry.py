@@ -216,6 +216,9 @@ class FaultRegistry:
             raise ValueError("hit counts are 1-based")
         if probability is not None and not (0.0 <= probability <= 1.0):
             raise ValueError("probability must be within [0, 1]")
+        if times is not None and times < 1:
+            # Such a point could never fire: refuse it rather than arm it.
+            raise ValueError("times must be at least 1 (None fires forever)")
         point = FaultPoint(
             name,
             action,

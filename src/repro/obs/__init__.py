@@ -24,7 +24,8 @@ disabled (or simply not attached -- raw index structures default to
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+import functools
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs.events import Event, EventLog
 from repro.obs.export import parse_prometheus_text, prometheus_text
@@ -64,6 +65,60 @@ class _NoopSpan:
 _NOOP_SPAN = _NoopSpan()
 
 
+def _pool_values(pool) -> Dict[str, float]:
+    # Read per span (twice): plain attribute reads, and no hit_ratio --
+    # ratios make noisy span deltas.
+    stats = pool.stats
+    return {
+        "logical_reads": stats.logical_reads,
+        "physical_reads": stats.physical_reads,
+        "logical_writes": stats.logical_writes,
+        "physical_writes": stats.physical_writes,
+        "resident_pages": pool.resident_pages,
+    }
+
+
+#: The per-index objects :meth:`Observability.attach` exports, by metric
+#: prefix: how to read one's values, and which of them are gauges (the
+#: rest are counters, carried across an index reopen).
+ATTACHMENTS: Dict[str, Tuple[Callable[[Any], Dict[str, float]], Tuple[str, ...]]] = {
+    "buffer": (_pool_values, ("resident_pages",)),
+    "nodecache": (
+        lambda store: {
+            **store.cache_stats.to_dict(),
+            "cached_nodes": store.cached_nodes,
+            "size": store.node_cache_size,
+        },
+        ("cached_nodes", "size"),
+    ),
+    "spec": (
+        lambda spec: {**spec.stats.to_dict(), "vectorized": int(spec.vectorized)},
+        ("vectorized",),
+    ),
+}
+
+#: Metric prefixes ``SHOW STATS`` lifts out of its counter list, in
+#: report order.  A titled prefix is printed as one ``name value`` line
+#: under its title; the others have a section of their own.
+SECTIONS = (
+    ("buffer.", None), ("nodecache.", None), ("spec.", None), ("locks.", None),
+    ("net.", "serving"), ("hblade.", "hybrid"), ("repl.", "replication"),
+    ("wal.", None), ("sbspace.", None), ("faults.", None),
+)
+
+
+def _folded(read, source, base: Dict[str, float]) -> Dict[str, float]:
+    values = read(source)
+    for key, value in base.items():
+        values[key] += value
+    return values
+
+
+def _hit_ratio(counters: Dict[str, float]) -> float:
+    reads = counters["logical_reads"]
+    return 1.0 - counters["physical_reads"] / reads if reads else 1.0
+
+
 class Observability:
     """The hub: one registry + one span recorder + attachment points."""
 
@@ -82,21 +137,17 @@ class Observability:
         #: Structured slow-query/error event log (JSONL-exportable).
         self.events = EventLog(timer=timer)
         self.enabled = enabled
-        #: Buffer pools attached by name (inspection convenience).
-        self.pools: Dict[str, Any] = {}
-        #: Counters carried over from replaced pools, keyed by pool name.
-        #: An index reopen creates a fresh pool; folding the old pool's
-        #: final counters in here keeps ``buffer.<name>.*`` monotonic, so
+        #: Per-index objects by :data:`ATTACHMENTS` kind, then name.
+        self.attached: Dict[str, Dict[str, Any]] = {k: {} for k in ATTACHMENTS}
+        #: Counters carried over from replaced objects, by kind and name.
+        #: An index reopen builds fresh ones; folding the old object's
+        #: final counters in here keeps ``<kind>.<name>.*`` monotonic, so
         #: span deltas stay correct across the reopen.
-        self._pool_bases: Dict[str, Dict[str, float]] = {}
-        #: Deserialized-node caches attached by name (usually one per
-        #: open GR-tree index, mirroring :attr:`pools`).
-        self.node_caches: Dict[str, Any] = {}
-        self._node_cache_bases: Dict[str, Dict[str, float]] = {}
-        #: Specialization bundles attached by name (one per open index
-        #: running the specialized/vectorized hot paths).
-        self.specializers: Dict[str, Any] = {}
-        self._specializer_bases: Dict[str, Dict[str, float]] = {}
+        self._bases: Dict[str, Dict[str, Dict[str, float]]] = {
+            kind: {} for kind in ATTACHMENTS
+        }
+        self.pools = self.attached["buffer"]
+        self.node_caches = self.attached["nodecache"]
         #: Fault-injection registry, when one is attached (``SET FAULT``).
         self.faults_registry = None
 
@@ -135,120 +186,41 @@ class Observability:
     # Attachment points (pull-based collectors)
     # ------------------------------------------------------------------
 
-    def attach_buffer_pool(self, name: str, pool) -> None:
-        """Export a buffer pool's I/O counters as ``buffer.<name>.*``.
+    def attach(self, kind: str, name: str, source) -> None:
+        """Export an index's buffer pool (*kind* ``buffer``), node cache
+        (``nodecache``) or specializer (``spec``) as ``<kind>.<name>.*``;
+        a *source* of ``None`` detaches the name (DROP INDEX).
 
-        Attaching a different pool under an existing name (an index
-        reopen) folds the old pool's counters into a base so the
-        exported values never go backwards.
+        Attaching a different object under an existing name (an index
+        reopen) folds the old one's counters into a base, so the
+        exported counters never go backwards.
         """
-        base = self._pool_bases.setdefault(name, {})
-        previous = self.pools.get(name)
-        if previous is not None and previous is not pool:
-            for key, value in previous.stats.to_dict().items():
-                if key != "hit_ratio":
+        read, gauges = ATTACHMENTS[kind]
+        attached, bases = self.attached[kind], self._bases[kind]
+        prefix = f"{kind}.{name}"
+        if source is None:
+            attached.pop(name, None)
+            bases.pop(name, None)
+            self.metrics.unregister_collector(prefix)
+            return
+        base = bases.setdefault(name, {})
+        previous = attached.get(name)
+        if previous is not None and previous is not source:
+            for key, value in read(previous).items():
+                if key not in gauges:
                     base[key] = base.get(key, 0) + value
-        self.pools[name] = pool
+        attached[name] = source
+        self.metrics.register_collector(
+            prefix,
+            functools.partial(_folded, read, source, base)
+            if base
+            else functools.partial(read, source),
+        )
 
-        def collect() -> Dict[str, float]:
-            # Read per span (twice): plain attribute reads, and no
-            # hit_ratio -- ratios make noisy span deltas.
-            stats = pool.stats
-            collected = {
-                "logical_reads": stats.logical_reads,
-                "physical_reads": stats.physical_reads,
-                "logical_writes": stats.logical_writes,
-                "physical_writes": stats.physical_writes,
-            }
-            for key, value in base.items():
-                collected[key] += value
-            collected["resident_pages"] = pool.resident_pages
-            return collected
-
-        self.metrics.register_collector(f"buffer.{name}", collect)
-
-    def detach_buffer_pool(self, name: str) -> None:
-        self.pools.pop(name, None)
-        self._pool_bases.pop(name, None)
-        self.metrics.unregister_collector(f"buffer.{name}")
-
-    def attach_node_cache(self, name: str, store) -> None:
-        """Export a :class:`GRNodeStore`'s cache counters as ``nodecache.<name>.*``.
-
-        Same reopen-folding contract as :meth:`attach_buffer_pool`: the
-        exported counters never go backwards when an index reopen swaps
-        in a fresh store.
-        """
-        base = self._node_cache_bases.setdefault(name, {})
-        previous = self.node_caches.get(name)
-        if previous is not None and previous is not store:
-            for key, value in previous.cache_stats.to_dict().items():
-                base[key] = base.get(key, 0) + value
-        self.node_caches[name] = store
-
-        def collect() -> Dict[str, float]:
-            stats = {
-                key: value + base.get(key, 0)
-                for key, value in store.cache_stats.to_dict().items()
-            }
-            stats["cached_nodes"] = store.cached_nodes
-            stats["size"] = store.node_cache_size
-            return stats
-
-        self.metrics.register_collector(f"nodecache.{name}", collect)
-
-    def detach_node_cache(self, name: str) -> None:
-        self.node_caches.pop(name, None)
-        self._node_cache_bases.pop(name, None)
-        self.metrics.unregister_collector(f"nodecache.{name}")
-
-    def node_cache_counters(self, name: str) -> Dict[str, float]:
-        """Lifetime node-cache counters for one name (reopen-cumulative)."""
-        base = self._node_cache_bases.get(name, {})
-        return {
-            key: value + base.get(key, 0)
-            for key, value in self.node_caches[name].cache_stats.to_dict().items()
-        }
-
-    def attach_specializer(self, name: str, spec) -> None:
-        """Export a :class:`SpecializedOps` bundle's counters as
-        ``spec.<name>.*``.
-
-        Same reopen-folding contract as :meth:`attach_buffer_pool`: when
-        an index reopen builds a fresh bundle, the replaced bundle's
-        final counters fold into a base so the exported values never go
-        backwards.
-        """
-        base = self._specializer_bases.setdefault(name, {})
-        previous = self.specializers.get(name)
-        if previous is not None and previous is not spec:
-            for key, value in previous.stats.to_dict().items():
-                base[key] = base.get(key, 0) + value
-        self.specializers[name] = spec
-
-        def collect() -> Dict[str, float]:
-            stats = {
-                key: value + base.get(key, 0)
-                for key, value in spec.stats.to_dict().items()
-            }
-            stats["vectorized"] = int(spec.vectorized)
-            return stats
-
-        self.metrics.register_collector(f"spec.{name}", collect)
-
-    def detach_specializer(self, name: str) -> None:
-        self.specializers.pop(name, None)
-        self._specializer_bases.pop(name, None)
-        self.metrics.unregister_collector(f"spec.{name}")
-
-    def specializer_counters(self, name: str) -> Dict[str, float]:
-        """Lifetime specialization counters for one name
-        (reopen-cumulative)."""
-        base = self._specializer_bases.get(name, {})
-        return {
-            key: value + base.get(key, 0)
-            for key, value in self.specializers[name].stats.to_dict().items()
-        }
+    def counters(self, kind: str, name: str) -> Dict[str, float]:
+        """One attached object's values, counters reopen-cumulative."""
+        read, _ = ATTACHMENTS[kind]
+        return _folded(read, self.attached[kind][name], self._bases[kind][name])
 
     def attach_lock_manager(self, locks) -> None:
         self.metrics.register_collector(
@@ -278,36 +250,17 @@ class Observability:
     # Aggregation and export
     # ------------------------------------------------------------------
 
-    def pool_counters(self, name: str) -> Dict[str, float]:
-        """Lifetime I/O counters for one pool name (reopen-cumulative)."""
-        base = self._pool_bases.get(name, {})
-        counters = {
-            key: value + base.get(key, 0)
-            for key, value in self.pools[name].stats.to_dict().items()
-            if key != "hit_ratio"
-        }
-        reads = counters["logical_reads"]
-        counters["hit_ratio"] = (
-            1.0 - counters["physical_reads"] / reads if reads else 1.0
-        )
-        return counters
-
     def buffer_totals(self) -> Dict[str, float]:
         """Summed I/O counters (plus hit ratio) across attached pools."""
-        totals = {
-            "logical_reads": 0,
-            "physical_reads": 0,
-            "logical_writes": 0,
-            "physical_writes": 0,
-        }
+        totals = dict.fromkeys(
+            ("logical_reads", "physical_reads", "logical_writes", "physical_writes"),
+            0,
+        )
         for name in self.pools:
-            counters = self.pool_counters(name)
+            counters = self.counters("buffer", name)
             for key in totals:
                 totals[key] += counters[key]
-        reads = totals["logical_reads"]
-        totals["hit_ratio"] = (
-            1.0 - totals["physical_reads"] / reads if reads else 1.0
-        )
+        totals["hit_ratio"] = _hit_ratio(totals)
         return totals
 
     def to_dict(self) -> Dict[str, Any]:
@@ -337,23 +290,11 @@ class Observability:
             lines.append(f"== {title} ==")
 
         section("counters")
+        lifted = tuple(prefix for prefix, _ in SECTIONS)
         counters = {
             name: value
             for name, value in sorted(snapshot.items())
-            if not name.startswith(
-                (
-                    "buffer.",
-                    "locks.",
-                    "wal.",
-                    "sbspace.",
-                    "nodecache.",
-                    "spec.",
-                    "net.",
-                    "faults.",
-                    "repl.",
-                    "hblade.",
-                )
-            )
+            if not name.startswith(lifted)
         }
         if counters:
             width = max(len(name) for name in counters)
@@ -372,13 +313,13 @@ class Observability:
             )
             lines.append(header)
             for name in sorted(self.pools):
-                stats = self.pool_counters(name)
+                stats = self.counters("buffer", name)
                 lines.append(
                     f"{name:<24} {stats['logical_reads']:>8} "
                     f"{stats['physical_reads']:>8} {stats['logical_writes']:>8} "
                     f"{stats['physical_writes']:>8} "
-                    f"{stats['hit_ratio'] * 100:>6.1f}% "
-                    f"{self.pools[name].resident_pages:>9} "
+                    f"{_hit_ratio(stats) * 100:>6.1f}% "
+                    f"{stats['resident_pages']:>9} "
                     f"{self.pools[name].capacity:>7}"
                 )
             totals = self.buffer_totals()
@@ -401,15 +342,14 @@ class Observability:
             )
             lines.append(header)
             for name in sorted(self.node_caches):
-                stats = self.node_cache_counters(name)
-                store = self.node_caches[name]
+                stats = self.counters("nodecache", name)
                 lines.append(
                     f"{name:<24} {stats['hits']:>8} {stats['misses']:>8} "
                     f"{stats['evictions']:>8} {stats['invalidations']:>8} "
-                    f"{store.cached_nodes:>7} {store.node_cache_size:>6}"
+                    f"{stats['cached_nodes']:>7} {stats['size']:>6}"
                 )
 
-        if self.specializers:
+        if self.attached["spec"]:
             lines.append("")
             section("specialization")
             header = (
@@ -417,16 +357,15 @@ class Observability:
                 f"{'maskhit':>8} {'choices':>8} {'bounds':>7} {'vec':>4}"
             )
             lines.append(header)
-            for name in sorted(self.specializers):
-                stats = self.specializer_counters(name)
-                spec = self.specializers[name]
+            for name in sorted(self.attached["spec"]):
+                stats = self.counters("spec", name)
                 lines.append(
                     f"{name:<24} {stats['scans_compiled']:>7} "
                     f"{stats['nodes_batched']:>8} {stats['nodes_fallback']:>7} "
                     f"{stats['mask_cache_hits']:>8} "
                     f"{stats['choices_vectorized']:>8} "
                     f"{stats['bounds_vectorized']:>7} "
-                    f"{'yes' if spec.vectorized else 'no':>4}"
+                    f"{'yes' if stats['vectorized'] else 'no':>4}"
                 )
 
         lines.append("")
@@ -442,50 +381,16 @@ class Observability:
             )
         )
 
-        net_items = sorted(
-            (name, value)
-            for name, value in snapshot.items()
-            if name.startswith("net.")
-        )
-        if net_items:
-            lines.append("")
-            section("serving")
-            lines.append(
-                "  ".join(
-                    f"{name[len('net.'):]} {value:g}"
-                    for name, value in net_items
-                )
+        for prefix, title in SECTIONS:
+            items = sorted(
+                (name[len(prefix):], value)
+                for name, value in snapshot.items()
+                if title is not None and name.startswith(prefix)
             )
-
-        hblade_items = sorted(
-            (name, value)
-            for name, value in snapshot.items()
-            if name.startswith("hblade.")
-        )
-        if hblade_items:
-            lines.append("")
-            section("hybrid")
-            lines.append(
-                "  ".join(
-                    f"{name[len('hblade.'):]} {value:g}"
-                    for name, value in hblade_items
-                )
-            )
-
-        repl_items = sorted(
-            (name, value)
-            for name, value in snapshot.items()
-            if name.startswith("repl.")
-        )
-        if repl_items:
-            lines.append("")
-            section("replication")
-            lines.append(
-                "  ".join(
-                    f"{name[len('repl.'):]} {value:g}"
-                    for name, value in repl_items
-                )
-            )
+            if items:
+                lines.append("")
+                section(title)
+                lines.append("  ".join(f"{name} {value:g}" for name, value in items))
 
         lines.append("")
         section("write-ahead log")

@@ -14,7 +14,6 @@ functions run as ordinary UDRs against every row.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.server import sql as ast
@@ -51,34 +50,16 @@ class Executor:
     # Entry point
     # ------------------------------------------------------------------
 
-    #: Statements a read-only replica refuses from clients.  The apply
-    #: loop bypasses the check via ``server.repl_applying`` (it must
-    #: re-execute replicated DDL locally).
-    _WRITES = (
-        ast.CreateTable,
-        ast.DropTable,
-        ast.CreateFunction,
-        ast.DropFunction,
-        ast.CreateAccessMethod,
-        ast.DropAccessMethod,
-        ast.CreateOpclass,
-        ast.DropOpclass,
-        ast.CreateIndex,
-        ast.DropIndex,
-        ast.Insert,
-        ast.Delete,
-        ast.Update,
-        ast.Load,
-    )
-
     def execute(self, statement: ast.Statement, session) -> Any:
         handler = self._HANDLERS.get(type(statement))
         if handler is None:
             raise SqlError(f"unsupported statement: {statement!r}")
+        # The apply loop bypasses the check via ``server.repl_applying``
+        # (it must re-execute replicated DDL locally).
         if (
             self.server.read_only
             and not self.server.repl_applying
-            and isinstance(statement, self._WRITES)
+            and isinstance(statement, ast.WRITES)
         ):
             raise ReadOnlyError(
                 "this server is a read-only replica; "
@@ -633,122 +614,6 @@ class Executor:
                 self.call_purpose(am, "am_close", td)
 
     # ------------------------------------------------------------------
-    # Observability inspection (the onstat-style SQL surface)
-    # ------------------------------------------------------------------
-
-    def _show_stats(self, stmt: ast.ShowStats, session) -> str:
-        obs = self.server.obs
-        if stmt.format == "json":
-            return json.dumps(
-                obs.to_dict(), indent=2, sort_keys=True, default=str
-            )
-        return obs.report()
-
-    def _show_spans(self, stmt: ast.ShowSpans, session) -> str:
-        obs = self.server.obs
-        if stmt.format == "json":
-            return json.dumps(
-                obs.spans.to_dicts(
-                    connection=stmt.connection, limit=stmt.limit
-                ),
-                indent=2,
-                sort_keys=True,
-                default=str,
-            )
-        return obs.spans.format_trees(
-            limit=stmt.limit, connection=stmt.connection
-        )
-
-    def _show_trace(self, stmt: ast.ShowTrace, session) -> str:
-        obs = self.server.obs
-        if stmt.format == "json":
-            return json.dumps(
-                obs.spans.to_dicts(trace_id=stmt.trace_id),
-                indent=2,
-                sort_keys=True,
-                default=str,
-            )
-        rendered = obs.spans.format_trees(trace_id=stmt.trace_id)
-        if rendered == "(no spans recorded)":
-            return f"(no spans recorded for trace {stmt.trace_id})"
-        return rendered
-
-    def _show_workload(self, stmt: ast.ShowWorkload, session) -> str:
-        workload = self.server.obs.workload
-        try:
-            if stmt.format == "json":
-                return json.dumps(
-                    workload.to_dict(stmt.top, stmt.by),
-                    indent=2,
-                    sort_keys=True,
-                    default=str,
-                )
-            return workload.report(
-                stmt.top if stmt.top is not None else 20, stmt.by
-            )
-        except ValueError as exc:
-            raise SqlError(str(exc)) from None
-
-    def _show_events(self, stmt: ast.ShowEvents, session) -> str:
-        events = self.server.obs.events
-        if stmt.format == "json":
-            return json.dumps(
-                events.to_dicts(stmt.limit),
-                indent=2,
-                sort_keys=True,
-                default=str,
-            )
-        return events.report(stmt.limit if stmt.limit is not None else 20)
-
-    def _set_slow_query_threshold(
-        self, stmt: ast.SetSlowQueryThreshold, session
-    ) -> str:
-        self.server.obs.events.slow_query_threshold_ms = stmt.ms
-        if stmt.ms is None:
-            return "slow query logging off"
-        return f"slow query threshold set to {stmt.ms:g} ms"
-
-    def _set_trace_class(self, stmt: ast.SetTraceClass, session) -> str:
-        self.server.trace.set_level(stmt.trace_class, stmt.level)
-        return f"trace class {stmt.trace_class} set to level {stmt.level}"
-
-    def _set_fault(self, stmt: ast.SetFault, session) -> str:
-        registry = self.server.ensure_faults()
-        if stmt.action == "off":
-            if stmt.name is None:
-                registry.clear_all()
-                return "all faults cleared"
-            registry.clear_fault(stmt.name)
-            return f"fault '{stmt.name}' cleared"
-        try:
-            point = registry.set_fault(
-                stmt.name,
-                stmt.action,
-                hit=stmt.hit,
-                probability=stmt.probability,
-                times=stmt.times,
-                seed=stmt.seed,
-            )
-        except ValueError as exc:
-            raise SqlError(str(exc)) from None
-        return f"fault '{stmt.name}' armed: {point.describe()}"
-
-    def _show_replicas(self, stmt: ast.ShowReplicas, session) -> Any:
-        rows = self.server.replication_status()
-        if stmt.fmt == "json":
-            return json.dumps(rows, indent=2, sort_keys=True, default=str)
-        return rows
-
-    def _set_read_staleness(self, stmt: ast.SetReadStaleness, session) -> str:
-        if stmt.mode is None:
-            session.read_staleness = None
-            return "read staleness bound off"
-        session.read_staleness = (stmt.mode, stmt.value)
-        if stmt.mode == "lsn":
-            return f"read staleness bound set to {int(stmt.value)} records"
-        return f"read staleness bound set to {stmt.value:g} ms"
-
-    # ------------------------------------------------------------------
     # Expression evaluation on rows (seqscan and residual filters)
     # ------------------------------------------------------------------
 
@@ -858,14 +723,4 @@ class Executor:
         ast.UpdateStatistics: _update_statistics,
         ast.Load: _load,
         ast.Unload: _unload,
-        ast.ShowStats: _show_stats,
-        ast.ShowSpans: _show_spans,
-        ast.ShowTrace: _show_trace,
-        ast.ShowWorkload: _show_workload,
-        ast.ShowEvents: _show_events,
-        ast.SetTraceClass: _set_trace_class,
-        ast.SetFault: _set_fault,
-        ast.SetSlowQueryThreshold: _set_slow_query_threshold,
-        ast.ShowReplicas: _show_replicas,
-        ast.SetReadStaleness: _set_read_staleness,
     }

@@ -324,36 +324,6 @@ class DatabaseServer:
     # SQL entry points
     # ------------------------------------------------------------------
 
-    #: Statements that inspect observability state; they run unspanned so
-    #: ``SHOW SPANS`` never renders its own half-open root span, and are
-    #: kept out of the workload model and event log for the same reason.
-    _INTROSPECTION = (
-        ast.ShowStats,
-        ast.ShowSpans,
-        ast.ShowTrace,
-        ast.ShowWorkload,
-        ast.ShowEvents,
-        ast.SetTraceClass,
-        ast.SetFault,
-        ast.SetSlowQueryThreshold,
-        ast.ShowReplicas,
-        ast.SetReadStaleness,
-    )
-
-    #: Statements whose text is logged for replication after success.
-    _DDL_STATEMENTS = (
-        ast.CreateTable,
-        ast.DropTable,
-        ast.CreateIndex,
-        ast.DropIndex,
-        ast.CreateFunction,
-        ast.DropFunction,
-        ast.CreateAccessMethod,
-        ast.DropAccessMethod,
-        ast.CreateOpclass,
-        ast.DropOpclass,
-    )
-
     def _maybe_log_ddl(self, statement: ast.Statement, sql_text: str) -> None:
         """Replication: record successful DDL verbatim for replay.
 
@@ -365,7 +335,7 @@ class DatabaseServer:
         if (
             self.wal.ship_rows
             and not self.repl_applying
-            and isinstance(statement, self._DDL_STATEMENTS)
+            and isinstance(statement, ast.DDL)
         ):
             self.wal.log_ddl(sql_text)
 
@@ -374,9 +344,9 @@ class DatabaseServer:
 
         Statement objects are never mutated after parsing (the executor
         and optimizer treat them as read-only), so the same parse tree
-        can be re-executed.  Introspection statements bypass the cache:
-        they are cheap, rare, and keeping them out means cache counters
-        reflect only real workload statements.
+        can be re-executed.  Admin statements bypass the cache: they are
+        cheap, rare, and keeping them out means cache counters reflect
+        only real workload statements.
         """
         if not self.statement_cache_size:
             return ast.parse(sql_text)
@@ -387,7 +357,7 @@ class DatabaseServer:
                 self._stmt_cache_hits += 1
                 return cached
         statement = ast.parse(sql_text)
-        if isinstance(statement, self._INTROSPECTION):
+        if isinstance(statement, ast.Admin):
             return statement
         with self._stmt_cache_lock:
             self._stmt_cache_misses += 1
@@ -420,16 +390,18 @@ class DatabaseServer:
             if session.in_transaction:
                 self.bind_transaction(session, session.transaction.txn_id)
             obs = self.obs
-            if not obs.enabled:
-                statement = self._parse(sql_text)
-                result = self.executor.execute(statement, session)
-                self._maybe_log_ddl(statement, sql_text)
-                return result
             parse_start = obs.metrics.timer()
             statement = self._parse(sql_text)
             parse_end = obs.metrics.timer()
-            if isinstance(statement, self._INTROSPECTION):
-                return self.executor.execute(statement, session)
+            if isinstance(statement, ast.Admin):
+                # Admin statements inspect observability state: they run
+                # unspanned (SHOW SPANS never renders its own half-open
+                # root) and stay out of the workload model and event log.
+                return statement.run(self, session)
+            if not obs.enabled:
+                result = self.executor.execute(statement, session)
+                self._maybe_log_ddl(statement, sql_text)
+                return result
             kind = type(statement).__name__.lower()
             obs.metrics.inc("sql.statements")
             obs.metrics.inc("sql.statements." + kind)

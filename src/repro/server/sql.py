@@ -8,14 +8,11 @@ and the matching ``DROP`` statements.  DML: ``INSERT``, ``SELECT``,
 predicates and comparisons with AND/OR/NOT.  Transactions: ``BEGIN WORK``,
 ``COMMIT WORK``, ``ROLLBACK WORK``, ``SET ISOLATION TO ...``.  Utility:
 ``CHECK INDEX`` and ``UPDATE STATISTICS FOR INDEX`` map onto ``am_check``
-and ``am_stats``.  Observability: ``SHOW STATS [JSON]`` and ``SHOW SPANS
-[JSON] [WHERE CONNECTION = n] [LIMIT n]`` dump the metrics registry and
-span trees, ``SHOW TRACE <id> [JSON]`` retrieves one distributed trace,
-``SHOW WORKLOAD [JSON] [TOP n BY calls|total_time|mean_time]`` renders
-the fingerprint workload model, ``SHOW EVENTS [JSON] [LIMIT n]`` dumps
-the structured event log, ``SET SLOW QUERY THRESHOLD <ms>|OFF`` arms the
-slow-query log, and ``SET TRACE CLASS <class> LEVEL <n>`` is the SQL
-face of the Section 6.4 trace facility.
+and ``am_stats``; ``LOAD``/``UNLOAD`` drive the opaque types' text-file
+support functions.  Every other ``SHOW`` and ``SET`` -- the observability,
+fault-injection and replication surface, including ``SET TRACE CLASS``,
+the SQL face of the Section 6.4 trace facility -- is an admin statement:
+:mod:`repro.server.admin` parses it into one :class:`Admin` node.
 """
 
 from __future__ import annotations
@@ -24,6 +21,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Union
 
+from repro.server import admin
 from repro.server.errors import SqlError
 
 # ----------------------------------------------------------------------
@@ -234,109 +232,27 @@ class UpdateStatistics:
 
 
 @dataclass
-class ShowStats:
-    """``SHOW STATS [JSON]`` -- dump the observability metrics registry."""
+class Admin:
+    """A ``SHOW`` or ``SET`` admin statement (:mod:`repro.server.admin`):
+    ``run(server, session)`` executes it."""
 
-    format: str = "text"  # 'text' | 'json'
-
-
-@dataclass
-class ShowSpans:
-    """``SHOW SPANS [JSON] [WHERE CONNECTION = n] [LIMIT n]`` -- dump
-    recorded statement span trees, optionally filtered to one serving
-    connection and/or tail-limited to the most recent *n* roots."""
-
-    format: str = "text"  # 'text' | 'json'
-    connection: Optional[int] = None
-    limit: Optional[int] = None
-
-
-@dataclass
-class ShowTrace:
-    """``SHOW TRACE <trace_id> [JSON]`` -- every recorded span tree that
-    carries the given propagated trace id (wire tracing)."""
-
-    trace_id: str
-    format: str = "text"  # 'text' | 'json'
-
-
-@dataclass
-class ShowWorkload:
-    """``SHOW WORKLOAD [JSON] [TOP n BY calls|total_time|mean_time]`` --
-    render the per-fingerprint workload model."""
-
-    format: str = "text"  # 'text' | 'json'
-    top: Optional[int] = None
-    by: str = "total_time"
-
-
-@dataclass
-class ShowEvents:
-    """``SHOW EVENTS [JSON] [LIMIT n]`` -- dump the structured event log
-    (slow queries, errors, fault aborts)."""
-
-    format: str = "text"  # 'text' | 'json'
-    limit: Optional[int] = None
-
-
-@dataclass
-class SetSlowQueryThreshold:
-    """``SET SLOW QUERY THRESHOLD <ms>`` / ``... OFF`` -- statements
-    slower than the threshold emit ``slow_query`` events."""
-
-    ms: Optional[float]  # None disarms
-
-
-@dataclass
-class SetTraceClass:
-    """``SET TRACE CLASS <class> LEVEL <n>`` (Section 6.4, as SQL)."""
-
-    trace_class: str
-    level: int
-
-
-@dataclass
-class SetFault:
-    """``SET FAULT '<name>' <action> [HIT n] [PROBABILITY p] [SEED s]
-    [TIMES n | FOREVER]`` / ``SET FAULT '<name>' OFF`` / ``SET FAULT ALL
-    OFF`` -- arm or disarm a deterministic failpoint (``repro.faults``).
-    """
-
-    name: Optional[str]  # None means ALL (only valid with action 'off')
-    action: str          # 'raise' | 'crash' | 'torn' | 'corrupt' | 'off'
-    hit: Optional[int] = None
-    probability: Optional[float] = None
-    seed: int = 0
-    times: Optional[int] = 1
-
-
-@dataclass
-class SetReadStaleness:
-    """``SET READ STALENESS <ms>`` / ``... LSN <n>`` / ``... OFF`` --
-    the per-session bound on how far behind the primary a replica may
-    be while still serving this session's reads (``repro.repl``)."""
-
-    mode: Optional[str]  # 'ms' | 'lsn' | None (OFF)
-    value: Optional[float] = None
-
-
-@dataclass
-class ShowReplicas:
-    """``SHOW REPLICAS [JSON]`` -- replication topology and lag: the
-    subscribers on a primary, the upstream link on a replica."""
-
-    fmt: str = "text"
+    run: admin.Run
 
 
 Statement = Union[
     CreateTable, DropTable, CreateFunction, DropFunction, CreateAccessMethod,
     DropAccessMethod, CreateOpclass, DropOpclass, CreateIndex, DropIndex,
     Insert, Select, Delete, Update, BeginWork, CommitWork, RollbackWork,
-    SetIsolation, CheckIndex, UpdateStatistics, Load, Unload,
-    ShowStats, ShowSpans, ShowTrace, ShowWorkload, ShowEvents,
-    SetTraceClass, SetFault, SetSlowQueryThreshold,
-    SetReadStaleness, ShowReplicas,
+    SetIsolation, CheckIndex, UpdateStatistics, Load, Unload, Admin,
 ]
+
+#: Catalog changes: a primary logs their text for replicas to re-execute.
+DDL = (
+    CreateTable, DropTable, CreateFunction, DropFunction, CreateAccessMethod,
+    DropAccessMethod, CreateOpclass, DropOpclass, CreateIndex, DropIndex,
+)
+#: Statements a read-only replica refuses from clients.
+WRITES = DDL + (Insert, Delete, Update, Load)
 
 # ----------------------------------------------------------------------
 # Tokenizer
@@ -472,25 +388,17 @@ class _Parser:
             self.accept_keyword("WORK")
             self.done()
             return RollbackWork()
-        if self.at_keyword("SET"):
-            self.next()
-            if self.at_keyword("TRACE"):
-                return self._set_trace_class()
-            if self.at_keyword("FAULT"):
-                return self._set_fault()
-            if self.at_keyword("SLOW"):
-                return self._set_slow_query_threshold()
-            if self.at_keyword("READ"):
-                return self._set_read_staleness()
-            self.expect_keyword("ISOLATION")
+        if self.accept_keyword("SET"):
+            if not self.accept_keyword("ISOLATION"):
+                return Admin(admin.parse(self, "SET"))
             self.expect_keyword("TO")
             words = []
             while self.peek() is not None and self.peek().kind == "word":
                 words.append(self.next().value)
             self.done()
             return SetIsolation(" ".join(words))
-        if self.at_keyword("SHOW"):
-            return self._show()
+        if self.accept_keyword("SHOW"):
+            return Admin(admin.parse(self, "SHOW"))
         if self.at_keyword("CHECK"):
             self.next()
             self.expect_keyword("INDEX")
@@ -502,177 +410,6 @@ class _Parser:
         if self.at_keyword("UNLOAD"):
             return self._unload()
         raise SqlError(f"unsupported statement start: {self.peek().value!r}")
-
-    def _set_trace_class(self) -> SetTraceClass:
-        self.expect_keyword("TRACE")
-        self.expect_keyword("CLASS")
-        trace_class = self.identifier()
-        self.expect_keyword("LEVEL")
-        token = self.next()
-        if token.kind != "number":
-            raise SqlError(
-                f"SET TRACE CLASS ... LEVEL needs a number, got {token.value!r}"
-            )
-        self.done()
-        return SetTraceClass(trace_class, int(float(token.value)))
-
-    def _set_fault(self) -> SetFault:
-        self.expect_keyword("FAULT")
-        if self.accept_keyword("ALL"):
-            self.expect_keyword("OFF")
-            self.done()
-            return SetFault(name=None, action="off")
-        token = self.next()
-        if token.kind not in ("string", "word"):
-            raise SqlError(
-                f"SET FAULT needs a failpoint name, got {token.value!r}"
-            )
-        name = token.value
-        if self.accept_keyword("OFF"):
-            self.done()
-            return SetFault(name=name, action="off")
-        action_token = self.next()
-        if action_token.kind != "word":
-            raise SqlError(
-                f"SET FAULT needs an action, got {action_token.value!r}"
-            )
-        action = action_token.value.lower()
-        hit = probability = None
-        seed = 0
-        times: Optional[int] = 1
-        while self.peek() is not None and self.peek().kind == "word":
-            if self.accept_keyword("HIT"):
-                hit = self._number("SET FAULT ... HIT", integral=True)
-            elif self.accept_keyword("PROBABILITY"):
-                probability = self._number("SET FAULT ... PROBABILITY")
-            elif self.accept_keyword("SEED"):
-                seed = self._number("SET FAULT ... SEED", integral=True)
-            elif self.accept_keyword("TIMES"):
-                times = self._number("SET FAULT ... TIMES", integral=True)
-            elif self.accept_keyword("FOREVER"):
-                times = None
-            else:
-                raise SqlError(
-                    f"unexpected SET FAULT option {self.peek().value!r}"
-                )
-        self.done()
-        return SetFault(
-            name=name,
-            action=action,
-            hit=hit,
-            probability=probability,
-            seed=seed,
-            times=times,
-        )
-
-    def _set_read_staleness(self) -> SetReadStaleness:
-        self.expect_keyword("READ")
-        self.expect_keyword("STALENESS")
-        if self.accept_keyword("OFF"):
-            self.done()
-            return SetReadStaleness(mode=None)
-        if self.accept_keyword("LSN"):
-            lsn = self._number("SET READ STALENESS LSN", integral=True)
-            if lsn < 0:
-                raise SqlError("SET READ STALENESS LSN needs a value >= 0")
-            self.done()
-            return SetReadStaleness(mode="lsn", value=lsn)
-        ms = self._number("SET READ STALENESS")
-        if ms < 0:
-            raise SqlError("SET READ STALENESS needs a value >= 0")
-        self.done()
-        return SetReadStaleness(mode="ms", value=ms)
-
-    def _number(self, context: str, integral: bool = False):
-        token = self.next()
-        if token.kind != "number":
-            raise SqlError(f"{context} needs a number, got {token.value!r}")
-        value = float(token.value)
-        return int(value) if integral else value
-
-    def _set_slow_query_threshold(self) -> SetSlowQueryThreshold:
-        self.expect_keyword("SLOW")
-        self.expect_keyword("QUERY")
-        self.expect_keyword("THRESHOLD")
-        if self.accept_keyword("OFF"):
-            self.done()
-            return SetSlowQueryThreshold(ms=None)
-        ms = self._number("SET SLOW QUERY THRESHOLD")
-        if ms < 0:
-            raise SqlError("SET SLOW QUERY THRESHOLD needs a value >= 0")
-        self.done()
-        return SetSlowQueryThreshold(ms=ms)
-
-    def _show(self) -> Statement:
-        self.expect_keyword("SHOW")
-        if self.accept_keyword("STATS"):
-            fmt = "json" if self.accept_keyword("JSON") else "text"
-            self.done()
-            return ShowStats(fmt)
-        if self.accept_keyword("SPANS"):
-            fmt = "json" if self.accept_keyword("JSON") else "text"
-            connection = limit = None
-            while self.peek() is not None and self.peek().kind == "word":
-                if self.accept_keyword("WHERE"):
-                    self.expect_keyword("CONNECTION")
-                    self.expect_op("=")
-                    connection = self._number(
-                        "SHOW SPANS WHERE CONNECTION", integral=True
-                    )
-                elif self.accept_keyword("LIMIT"):
-                    limit = self._number("SHOW SPANS LIMIT", integral=True)
-                else:
-                    raise SqlError(
-                        f"unexpected SHOW SPANS option {self.peek().value!r}"
-                    )
-            self.done()
-            return ShowSpans(fmt, connection=connection, limit=limit)
-        if self.accept_keyword("TRACE"):
-            # Trace ids are hex strings that may start with a digit, so
-            # the tokenizer can split one into number/word runs: accept a
-            # quoted string, or join the adjacent pieces back together.
-            parts: List[str] = []
-            while (
-                self.peek() is not None
-                and self.peek().kind in ("word", "number", "string")
-                and not self.at_keyword("JSON")
-            ):
-                parts.append(self.next().value)
-            if not parts:
-                raise SqlError("SHOW TRACE needs a trace id")
-            fmt = "json" if self.accept_keyword("JSON") else "text"
-            self.done()
-            return ShowTrace("".join(parts), fmt)
-        if self.accept_keyword("WORKLOAD"):
-            fmt = "json" if self.accept_keyword("JSON") else "text"
-            top = None
-            by = "total_time"
-            if self.accept_keyword("TOP"):
-                top = self._number("SHOW WORKLOAD TOP", integral=True)
-                self.expect_keyword("BY")
-                by = self.identifier().lower()
-            self.done()
-            return ShowWorkload(fmt, top=top, by=by)
-        if self.accept_keyword("EVENTS"):
-            fmt = "json" if self.accept_keyword("JSON") else "text"
-            limit = None
-            if self.accept_keyword("LIMIT"):
-                limit = self._number("SHOW EVENTS LIMIT", integral=True)
-            self.done()
-            return ShowEvents(fmt, limit=limit)
-        if self.accept_keyword("REPLICAS"):
-            fmt = "json" if self.accept_keyword("JSON") else "text"
-            self.done()
-            return ShowReplicas(fmt)
-        raise SqlError(
-            "SHOW supports STATS, SPANS, TRACE, WORKLOAD, EVENTS, "
-            "and REPLICAS"
-            + (
-                f", got {self.peek().value!r}"
-                if self.peek() is not None
-                else ""
-            )
-        )
 
     def _load(self) -> Load:
         self.expect_keyword("LOAD")

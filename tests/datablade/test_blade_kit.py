@@ -96,3 +96,33 @@ def test_absurd_with_option_is_refused_before_any_side_effect(am, option):
     rows = server.execute(f"SELECT name FROM t WHERE {predicate}")
     assert [row["name"] for row in rows] == ["seed"]
     server.execute("CHECK INDEX i")
+
+
+@pytest.mark.parametrize("am", AMS)
+def test_drop_index_detaches_its_observability(am):
+    server = make_server(am)
+    values, predicate = ACCESS_METHODS[am][2], ACCESS_METHODS[am][3]
+    server.execute(f"CREATE INDEX i ON t(c) USING {am} IN spc")
+    server.execute(f"SELECT name FROM t WHERE {predicate}")
+    assert index_pools(server)
+
+    def index_collectors():
+        return [
+            prefix for prefix in server.obs.metrics.collector_prefixes()
+            if prefix.endswith(".index.i") or ".index.i." in prefix
+        ]
+
+    assert index_collectors()
+    server.execute("DROP INDEX i")
+    assert index_collectors() == []
+    assert index_pools(server) == []
+    assert "index.i" not in server.execute("SHOW STATS")
+    # A re-created index of the same name counts from zero: what it
+    # exports is its own objects' counters, nothing carried over.
+    server.execute(f"CREATE INDEX i ON t(c) USING {am} IN spc")
+    server.execute(f"INSERT INTO t VALUES ('a', {values[1]})")
+    snapshot = server.obs.metrics.snapshot()
+    for name, pool in server.obs.pools.items():
+        if pool in index_pools(server):
+            for key in ("logical_reads", "logical_writes"):
+                assert snapshot[f"buffer.{name}.{key}"] == getattr(pool.stats, key)

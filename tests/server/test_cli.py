@@ -121,3 +121,10 @@ class TestShell:
         )
         shell.run_script(str(script))
         assert shell.server.catalog.get_table("t").row_count == 1
+
+    def test_admin_aliases_answer_like_their_statements(self, shell):
+        assert run(shell, "\\trace am 1") == "trace class am set to level 1\n"
+        assert shell.server.trace.levels() == {"am": 1}
+        assert "usage: \\trace CLASS LEVEL" in run(shell, "\\trace am")
+        assert "usage: \\events [json] [N]" in run(shell, "\\events -1")
+        assert run(shell, "\\events 0") == "(no events recorded)\n"

@@ -46,7 +46,7 @@ class TestStatementCache:
         server.execute("SET TRACE CLASS am LEVEL 1")
         assert len(server._statement_cache) == before
         assert all(
-            not isinstance(stmt, server._INTROSPECTION)
+            not isinstance(stmt, ast.Admin)
             for stmt in server._statement_cache.values()
         )
 
