@@ -102,24 +102,3 @@ def generate_unregister_script(blade) -> str:
         statements.append(f"DROP FUNCTION {symbol}")
     statements.append(f"DROP TABLE {blade.METADATA_TABLE}")
     return ";\n\n".join(statements) + ";\n"
-
-
-def generate_type_support_skeleton(type_name: str) -> str:
-    """A BladeSmith-style C skeleton for an opaque type's support
-    functions (illustrative output, as the GUI tool would emit)."""
-    lines = [
-        f"/* Generated by BladeSmith stand-in for opaque type {type_name} */",
-        "",
-    ]
-    for fn in ("Input", "Output", "Send", "Receive", "ImportText", "ExportText"):
-        lines.extend(
-            [
-                f"mi_pointer {type_name}{fn}(mi_pointer arg)",
-                "{",
-                "    /* TODO: flesh out the generated skeleton */",
-                "    return arg;",
-                "}",
-                "",
-            ]
-        )
-    return "\n".join(lines)

@@ -86,7 +86,9 @@ class GistDataBlade(AccessMethodBlade):
     def build(self, td, pools, meta, options, obs) -> Dict[str, Any]:
         pool = pools["blob"]
         root = load_root(pool, _MAGIC, meta is None, td.index_name)
-        return {"tree": GiST(GistNodeStore(pool, self._extension(td)), **root)}
+        tree = GiST(GistNodeStore(pool, self._extension(td)), **root)
+        tree.meta_page = 0  # the kit's root record: reachable, not an orphan
+        return {"tree": tree}
 
     def save(self, td: IndexDescriptor) -> None:
         save_root(td.user_data["pools"]["blob"], _MAGIC, td.user_data["tree"])

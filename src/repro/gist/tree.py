@@ -4,6 +4,15 @@ The tree knows nothing about keys: descent minimizes the extension's
 ``penalty``, overflow splits via ``pick_split``, parent keys are
 ``union``s, and search prunes with ``consistent`` -- [HNP95]'s recipe,
 on the same page/buffer substrate as every other index here.
+
+The algorithms are the R*-tree skeleton's
+(:class:`~repro.rtree.rstar.RStarTree`): insertion with root growth,
+deletion with condensation and root shrink, node iteration and the
+structural walker are inherited, and the hooks below translate them to
+the extension's four methods.  A node overflows when its compressed
+keys no longer fit the page (not at a fixed entry count), at least
+``MIN_ENTRIES`` entries stay in every non-root node, and there is no
+forced reinsertion.
 """
 
 from __future__ import annotations
@@ -13,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.gist.extension import GistExtension
+from repro.rtree.rstar import RStarTree
 from repro.storage.buffer import BufferPool
 
 _NODE_HEADER = struct.Struct("<BHB")
@@ -93,10 +103,11 @@ class GistNodeStore:
         self.buffer.free(page_id)
 
 
-class GiST:
+class GiST(RStarTree):
     """A generalized search tree driven by a :class:`GistExtension`."""
 
     MIN_ENTRIES = 2
+    REINSERT = False
 
     def __init__(
         self,
@@ -105,213 +116,65 @@ class GiST:
         height: int = 1,
         size: int = 0,
     ) -> None:
-        self.store = store
         self.extension = store.extension
-        if root_id is None:
-            root = store.allocate(leaf=True, level=0)
-            store.write(root)
-            root_id = root.page_id
-        self.root_id = root_id
-        self.height = height
-        self.size = size
-        self.last_node_accesses = 0
-
-    # ------------------------------------------------------------------
-    # Insertion
-    # ------------------------------------------------------------------
-
-    def insert(self, key: Any, rowid: int, fragid: int = 0) -> None:
-        self._insert_entry(GistEntry(key, rowid=rowid, fragid=fragid), level=0)
-        self.size += 1
-
-    def _insert_entry(self, entry: GistEntry, level: int) -> None:
-        path = [self.store.read(self.root_id)]
-        while path[-1].level > level:
-            node = path[-1]
-            best, best_penalty = 0, None
-            for i, candidate in enumerate(node.entries):
-                p = self.extension.penalty(candidate.key, entry.key)
-                if best_penalty is None or p < best_penalty:
-                    best, best_penalty = i, p
-            path.append(self.store.read(node.entries[best].child))
-        path[-1].entries.append(entry)
-        self._propagate(path)
-
-    def _propagate(self, path: List[GistNode]) -> None:
-        for depth in range(len(path) - 1, -1, -1):
-            node = path[depth]
-            if not self.store.fits(node):
-                self._split(path, depth)
-                if depth == 0:
-                    return
-                continue
-            self.store.write(node)
-            if depth > 0:
-                self._refresh_parent_key(path[depth - 1], node)
-
-    def _refresh_parent_key(self, parent: GistNode, child: GistNode) -> None:
-        for entry in parent.entries:
-            if entry.child == child.page_id:
-                entry.key = self.extension.union(
-                    [e.key for e in child.entries]
-                )
-                return
-        raise RuntimeError("child not found in parent")
-
-    def _split(self, path: List[GistNode], depth: int) -> None:
-        node = path[depth]
-        keys = [e.key for e in node.entries]
-        group_a, group_b = self.extension.pick_split(keys, self.MIN_ENTRIES)
-        entries = node.entries
-        node.entries = [entries[i] for i in group_a]
-        sibling = self.store.allocate(leaf=node.leaf, level=node.level)
-        sibling.entries = [entries[i] for i in group_b]
-        self.store.write(node)
-        self.store.write(sibling)
-        key_a = self.extension.union([e.key for e in node.entries])
-        key_b = self.extension.union([e.key for e in sibling.entries])
-        if depth == 0:
-            new_root = self.store.allocate(leaf=False, level=node.level + 1)
-            new_root.entries = [
-                GistEntry(key_a, child=node.page_id),
-                GistEntry(key_b, child=sibling.page_id),
-            ]
-            self.store.write(new_root)
-            self.root_id = new_root.page_id
-            self.height += 1
-            return
-        parent = path[depth - 1]
-        for entry in parent.entries:
-            if entry.child == node.page_id:
-                entry.key = key_a
-                break
-        parent.entries.append(GistEntry(key_b, child=sibling.page_id))
-
-    # ------------------------------------------------------------------
-    # Deletion (with condensation)
-    # ------------------------------------------------------------------
-
-    def delete(self, key: Any, rowid: int, fragid: int = 0) -> bool:
-        found = self._find_leaf(self.store.read(self.root_id), key, rowid,
-                                fragid, [])
-        if found is None:
-            return False
-        path, index = found
-        del path[-1].entries[index]
-        self.size -= 1
-        self._condense(path)
-        self._shrink_root()
-        return True
+        self.min_entries = self.MIN_ENTRIES
+        self._open(store, root_id, height, size)
 
     def _covers(self, outer: Any, inner: Any) -> bool:
         merged = self.extension.union([outer, inner])
         return self.extension.compress(merged) == self.extension.compress(outer)
 
-    def _find_leaf(self, node, key, rowid, fragid, path):
-        path = path + [node]
-        if node.leaf:
-            target = self.extension.compress(key)
-            for i, entry in enumerate(node.entries):
-                if (
-                    entry.rowid == rowid
-                    and entry.fragid == fragid
-                    and self.extension.compress(entry.key) == target
-                ):
-                    return path, i
-            return None
-        for entry in node.entries:
-            if self._covers(entry.key, key):
-                result = self._find_leaf(
-                    self.store.read(entry.child), key, rowid, fragid, path
-                )
-                if result is not None:
-                    return result
+    # ------------------------------------------------------------------
+    # Hooks on the R* skeleton
+    # ------------------------------------------------------------------
+
+    def _leaf_entry(self, key: Any, rowid: int, fragid: int) -> GistEntry:
+        return GistEntry(key, rowid=rowid, fragid=fragid)
+
+    def _keys(self, entries) -> List[Any]:
+        return [e.key for e in entries]
+
+    def _parent_entry(self, node: GistNode) -> GistEntry:
+        return GistEntry(
+            self.extension.union(self._keys(node.entries)), child=node.page_id
+        )
+
+    def _choose_subtree(self, node: GistNode, key: Any) -> int:
+        """The entry whose key the extension's penalty grows least."""
+        return min(
+            range(len(node.entries)),
+            key=lambda i: self.extension.penalty(node.entries[i].key, key),
+        )
+
+    def _choose_split(
+        self, entries: List[GistEntry]
+    ) -> Tuple[List[GistEntry], List[GistEntry]]:
+        group_a, group_b = self.extension.pick_split(
+            self._keys(entries), self.min_entries
+        )
+        return [entries[i] for i in group_a], [entries[i] for i in group_b]
+
+    def _overflows(self, node: GistNode) -> bool:
+        return not self.store.fits(node)
+
+    def _same_key(self, entry: GistEntry, target: GistEntry) -> bool:
+        compress = self.extension.compress
+        return compress(entry.key) == compress(target.key)
+
+    def _encloses(self, entry: GistEntry, key: Any) -> bool:
+        return self._covers(entry.key, key)
+
+    def _matches(self, entry: GistEntry, query: Any, leaf: bool) -> bool:
+        if leaf:
+            return self.extension.matches(entry.key, query)
+        return self.extension.consistent(entry.key, query)
+
+    def _bound_fault(self, entry: GistEntry, child: GistNode) -> Optional[str]:
+        if child.entries and not self._covers(
+            entry.key, self.extension.union(self._keys(child.entries))
+        ):
+            return f"bound does not cover child {entry.child}"
         return None
-
-    def _condense(self, path: List[GistNode]) -> None:
-        orphans: List[Tuple[GistEntry, int]] = []
-        for depth in range(len(path) - 1, 0, -1):
-            node = path[depth]
-            parent = path[depth - 1]
-            if len(node.entries) < self.MIN_ENTRIES:
-                parent.entries = [
-                    e for e in parent.entries if e.child != node.page_id
-                ]
-                orphans.extend((e, node.level) for e in node.entries)
-                self.store.free(node.page_id)
-            else:
-                self.store.write(node)
-                self._refresh_parent_key(parent, node)
-        self.store.write(path[0])
-        for entry, level in sorted(orphans, key=lambda pair: pair[1]):
-            self._insert_entry(entry, level)
-
-    def _shrink_root(self) -> None:
-        root = self.store.read(self.root_id)
-        while not root.leaf and len(root.entries) == 1:
-            child_id = root.entries[0].child
-            self.store.free(root.page_id)
-            self.root_id = child_id
-            self.height -= 1
-            root = self.store.read(child_id)
-
-    # ------------------------------------------------------------------
-    # Search
-    # ------------------------------------------------------------------
-
-    def search(self, query: Any) -> List[Tuple[int, int]]:
-        self.last_node_accesses = 0
-        results: List[Tuple[int, int]] = []
-        stack = [self.root_id]
-        while stack:
-            node = self.store.read(stack.pop())
-            self.last_node_accesses += 1
-            for entry in node.entries:
-                if node.leaf:
-                    if self.extension.matches(entry.key, query):
-                        results.append((entry.rowid, entry.fragid))
-                elif self.extension.consistent(entry.key, query):
-                    stack.append(entry.child)
-        return results
-
-    # ------------------------------------------------------------------
-    # Integrity
-    # ------------------------------------------------------------------
-
-    def iter_nodes(self):
-        stack = [self.root_id]
-        while stack:
-            node = self.store.read(stack.pop())
-            yield node
-            if not node.leaf:
-                stack.extend(e.child for e in node.entries)
-
-    def node_count(self) -> int:
-        return sum(1 for _ in self.iter_nodes())
-
-    def check(self) -> None:
-        counted = 0
-        for node in self.iter_nodes():
-            if node.leaf:
-                if node.level != 0:
-                    raise AssertionError("leaf at nonzero level")
-                counted += len(node.entries)
-                continue
-            for entry in node.entries:
-                child = self.store.read(entry.child)
-                if child.level != node.level - 1:
-                    raise AssertionError("level mismatch")
-                child_union = self.extension.union(
-                    [e.key for e in child.entries]
-                )
-                if not self._covers(entry.key, child_union):
-                    raise AssertionError(
-                        f"parent key does not cover child {child.page_id}"
-                    )
-        if counted != self.size:
-            raise AssertionError(
-                f"size mismatch: counted {counted}, recorded {self.size}"
-            )
 
     def stats(self) -> Dict[str, float]:
         return {

@@ -1,179 +1,41 @@
-"""Structural invariant verification for recovered GR-trees.
+"""Structural invariant verification for (recovered) GR-trees.
 
-:meth:`GRTree.check` is the quick ``am_check`` contract; this module is
-the adversarial version the crash-consistency harness runs against a
-tree rebuilt by WAL replay.  It never raises on the first problem --
-it walks the whole structure and reports *every* violation, because a
-recovery bug rarely breaks exactly one invariant.
+The walker is the R*-tree skeleton's, shared by every dynamic tree
+(:meth:`repro.rtree.rstar.RStarTree.violations`): it never stops at the
+first problem -- it walks the whole structure and reports *every*
+violation, because a recovery bug rarely breaks exactly one invariant.
+The crash-consistency harness runs it against trees rebuilt by WAL
+replay; ``CHECK INDEX`` runs it through ``GRTree.check``.
 
-Checked invariants:
+What the walker checks on every tree: reachability (no orphan page
+leaked by a crashed split or condense, every child pointer resolves, no
+page referenced twice), shape (leaves at level 0, child level = parent
+level - 1, height), entry counts, parent bounds, and leaf entries vs
+``size``.  The GR-tree's hooks add:
 
-* **reachability** -- every page the store considers live is reachable
-  from the root (no orphans leaked by a crashed split/condense), every
-  child pointer resolves, no page is referenced twice, no cycles;
-* **shape** -- leaves exactly at level 0, child level = parent level-1,
-  uniform height matching ``tree.height``;
-* **entry counts** -- non-root nodes within ``[min_entries,
-  max_entries]``, the root within ``[2, max_entries]`` when internal;
-* **MBR containment** -- every parent bound contains every child region
-  at the current time *and* at ``now + horizon`` (growing children must
-  not outgrow their bounds);
-* **stair-shape validity** -- every entry decodes to a non-empty region,
-  ground timestamp pairs are ordered, the Hidden flag only appears on
-  fixed-top rectangles, leaf entries carry no internal-only flags and
-  a rowid instead of a child pointer;
-* **entry count vs size** -- leaf entries sum to ``tree.size``.
+* **containment at two times** -- every parent bound contains every
+  child region at the current time *and* at ``now + CHECK_HORIZON``
+  (growing children must not outgrow their bounds);
+* **stair-shape validity** (:func:`check_entry_shape`) -- every entry
+  decodes to a non-empty region, ground timestamp pairs are ordered,
+  the Hidden flag only appears on fixed-top rectangles, and leaf
+  entries carry no internal-only flags.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from typing import List
 
+from repro.rtree.rstar import TreeInvariantError
 from repro.temporal.variables import is_ground
 
-
-class TreeInvariantError(AssertionError):
-    """The tree violates structural invariants; one message per line."""
-
-    def __init__(self, violations: List[str]) -> None:
-        self.violations = violations
-        super().__init__(
-            f"{len(violations)} GR-tree invariant violation(s):\n  "
-            + "\n  ".join(violations)
-        )
+__all__ = ["TreeInvariantError", "check_entry_shape", "check_tree", "verify_tree"]
 
 
-def _live_page_ids(store) -> Optional[Set[int]]:
-    """The ids the page store considers allocated, if it can tell us.
-
-    Unwraps checksum wrappers; stores that cannot enumerate (a raw OS
-    file) return ``None`` and orphan detection degrades to a count
-    comparison against ``page_count``.
-    """
-    while hasattr(store, "inner"):
-        store = store.inner
-    pages = getattr(store, "_pages", None)
-    if isinstance(pages, dict):
-        return set(pages)
-    return None
-
-
-def check_tree(tree, horizon: int = 50) -> List[str]:
-    """Walk *tree* and return every invariant violation found."""
-    violations: List[str] = []
-    now = tree.now
-    times = (now, now + horizon)
-    visited: Set[int] = set()
-    leaf_entries = 0
-
-    def visit(page_id: int, expected_level: Optional[int]) -> None:
-        nonlocal leaf_entries
-        if page_id in visited:
-            violations.append(f"page {page_id} referenced more than once")
-            return
-        visited.add(page_id)
-        try:
-            node = tree.store.read(page_id)
-        except Exception as exc:
-            violations.append(f"page {page_id} unreadable: {exc}")
-            return
-        if expected_level is not None and node.level != expected_level:
-            violations.append(
-                f"page {page_id} at level {node.level}, expected {expected_level}"
-            )
-        if node.leaf != (node.level == 0):
-            violations.append(
-                f"page {page_id}: leaf flag {node.leaf} at level {node.level}"
-            )
-        if page_id != tree.root_id and len(node.entries) < tree.min_entries:
-            violations.append(
-                f"page {page_id} underfull: {len(node.entries)} < {tree.min_entries}"
-            )
-        if page_id == tree.root_id and not node.leaf and len(node.entries) < 2:
-            violations.append(
-                f"internal root {page_id} has {len(node.entries)} entries"
-            )
-        if len(node.entries) > tree.max_entries:
-            violations.append(
-                f"page {page_id} overfull: {len(node.entries)} > {tree.max_entries}"
-            )
-        for i, entry in enumerate(node.entries):
-            where = f"page {page_id} entry {i}"
-            _check_entry_shape(entry, node.leaf, where, now, violations)
-            if node.leaf:
-                continue
-            if entry.child is None:
-                continue  # shape check already flagged it
-            try:
-                child = tree.store.read(entry.child)
-            except Exception as exc:
-                violations.append(f"{where}: child {entry.child} unreadable: {exc}")
-                continue
-            for t in times:
-                try:
-                    bound = entry.region(t)
-                except ValueError:
-                    break  # shape check already flagged the bound
-                for j, child_entry in enumerate(child.entries):
-                    try:
-                        child_region = child_entry.region(t)
-                    except ValueError:
-                        continue  # flagged when the child node is visited
-                    if not bound.contains(child_region):
-                        violations.append(
-                            f"{where}: bound does not contain child "
-                            f"{entry.child} entry {j} at time {t}"
-                        )
-        if node.leaf:
-            leaf_entries += len(node.entries)
-        else:
-            for entry in node.entries:
-                if entry.child is not None:
-                    visit(entry.child, node.level - 1)
-
-    visit(tree.root_id, tree.height - 1)
-
-    if leaf_entries != tree.size:
-        violations.append(
-            f"size mismatch: counted {leaf_entries} leaf entries, "
-            f"meta records {tree.size}"
-        )
-
-    reachable = set(visited)
-    if tree.meta_page is not None:
-        reachable.add(tree.meta_page)
-    live = _live_page_ids(tree.store.buffer.store)
-    if live is not None:
-        orphans = live - reachable
-        if orphans:
-            violations.append(f"orphan pages not reachable from root: {sorted(orphans)}")
-        dangling = reachable - live
-        if dangling:
-            violations.append(f"reachable pages not allocated: {sorted(dangling)}")
-    else:
-        count = tree.store.buffer.store.page_count
-        if count != len(reachable):
-            violations.append(
-                f"page accounting mismatch: store holds {count} pages, "
-                f"{len(reachable)} reachable from root"
-            )
-    return violations
-
-
-def _check_entry_shape(
-    entry, leaf: bool, where: str, now, violations: List[str]
-) -> None:
-    """Per-entry stair-shape and pointer validity."""
-    if leaf:
-        if entry.rowid is None:
-            violations.append(f"{where}: leaf entry without a rowid")
-        if entry.child is not None:
-            violations.append(f"{where}: leaf entry with a child pointer")
-        if entry.rectangle or entry.hidden:
-            violations.append(f"{where}: leaf entry carries internal flags")
-    else:
-        if entry.child is None:
-            violations.append(f"{where}: internal entry without a child pointer")
+def check_entry_shape(entry, leaf: bool, where: str, now, violations: List[str]) -> None:
+    """Per-entry stair-shape validity."""
+    if leaf and (entry.rectangle or entry.hidden):
+        violations.append(f"{where}: leaf entry carries internal flags")
     if entry.hidden and not entry.rectangle:
         violations.append(f"{where}: Hidden flag without Rectangle flag")
     if entry.hidden and not is_ground(entry.vt_end):
@@ -188,8 +50,11 @@ def _check_entry_shape(
         violations.append(f"{where}: undecodable region: {exc}")
 
 
-def verify_tree(tree, horizon: int = 50) -> None:
+def check_tree(tree) -> List[str]:
+    """Walk *tree* and return every invariant violation found."""
+    return tree.violations()
+
+
+def verify_tree(tree) -> None:
     """Raise :class:`TreeInvariantError` listing every violation."""
-    violations = check_tree(tree, horizon)
-    if violations:
-        raise TreeInvariantError(violations)
+    tree.check()

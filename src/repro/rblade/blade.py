@@ -125,7 +125,9 @@ class RTreeDataBlade(AccessMethodBlade):
     def build(self, td, pools, meta, options, obs) -> Dict[str, Any]:
         pool = pools["blob"]
         root = load_root(pool, _MAGIC, meta is None, td.index_name)
-        return {"tree": RStarTree(NodeStore(pool, ndim=2), **root)}
+        tree = RStarTree(NodeStore(pool, ndim=2), **root)
+        tree.meta_page = 0  # the kit's root record: reachable, not an orphan
+        return {"tree": tree}
 
     def save(self, td: IndexDescriptor) -> None:
         save_root(td.user_data["pools"]["blob"], _MAGIC, td.user_data["tree"])

@@ -2,10 +2,10 @@
 
 Kept as an ablation baseline: the paper's Figure 3 discussion (dead space
 and overlap as the "goodness" criteria) is exactly what distinguishes the
-R* split from Guttman's.  The class reuses the R*-tree's insertion and
-deletion skeleton but chooses subtrees purely by area enlargement and
-splits with the classic quadratic seed/distribute algorithm, with forced
-reinsertion disabled.
+R* split from Guttman's.  The class is three hooks on the R*-tree
+skeleton: subtrees are chosen purely by area enlargement, nodes split
+with the classic quadratic seed/distribute algorithm, and there is no
+forced reinsertion.
 """
 
 from __future__ import annotations
@@ -20,9 +20,10 @@ from repro.rtree.rstar import RStarTree
 class GuttmanRTree(RStarTree):
     """The classic R-tree: quadratic split, no forced reinsertion."""
 
+    REINSERT = False
+
     def __init__(self, store: NodeStore, min_fill: float = 0.4) -> None:
         super().__init__(store, min_fill=min_fill)
-        self.reinsert_enabled = False
 
     def _choose_subtree(self, node: Node, rect: Rect) -> int:
         # Guttman: least area enlargement at every level.

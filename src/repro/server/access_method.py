@@ -110,14 +110,6 @@ class SimpleQualification:
     constant_first: bool = False
     has_constant: bool = True
 
-    def arguments(self, column_value: Any) -> Tuple[Any, ...]:
-        """Argument tuple for invoking the strategy UDR on a row value."""
-        if not self.has_constant:
-            return (column_value,)
-        if self.constant_first:
-            return (self.constant, column_value)
-        return (column_value, self.constant)
-
 
 class BooleanOperator(enum.Enum):
     AND = "and"
@@ -134,24 +126,6 @@ class CompoundQualification:
 
 
 Qualification = Union[SimpleQualification, CompoundQualification]
-
-
-def qualification_functions(qual: Qualification) -> List[str]:
-    """All strategy-function names appearing in a qualification."""
-    if isinstance(qual, SimpleQualification):
-        return [qual.function]
-    names: List[str] = []
-    for child in qual.children:
-        names.extend(qualification_functions(child))
-    return names
-
-
-def qualification_column(qual: Qualification) -> Optional[str]:
-    """The single column a qualification refers to, or ``None`` if mixed."""
-    if isinstance(qual, SimpleQualification):
-        return qual.column
-    columns = {qualification_column(child) for child in qual.children}
-    return columns.pop() if len(columns) == 1 else None
 
 
 # ----------------------------------------------------------------------

@@ -146,11 +146,6 @@ class RoutineRegistry:
             raise UdrError(f"routine {name} is ambiguous without a signature")
         return overloads[0]
 
-    def invoke(self, name: str, args: Sequence[Any], arg_types: Sequence[str]) -> Any:
-        routine = self.resolve(name, arg_types)
-        self.invocations += 1
-        return routine(*args)
-
     # ------------------------------------------------------------------
 
     def set_negator(self, name: str, negator: str) -> None:

@@ -113,11 +113,6 @@ class TimeExtent:
         """Is the tuple part of the current database state (TTend = UC)?"""
         return self.tt_end is UC
 
-    @property
-    def is_now_relative(self) -> bool:
-        """Does either end track the current time?"""
-        return self.tt_end is UC or self.vt_end is NOW
-
     def validate_insertion(self, current_time: Chronon) -> None:
         """Check the paper's insertion constraints at *current_time*.
 
@@ -219,17 +214,6 @@ class TimeExtent:
             parse(parts[2], None),
             parse(parts[3], NOW),
         )
-
-    @classmethod
-    def from_values(
-        cls,
-        tt_begin: Timestamp,
-        tt_end: Timestamp,
-        vt_begin: Timestamp,
-        vt_end: Timestamp,
-    ) -> "TimeExtent":
-        """Alias constructor mirroring the 4TS column order."""
-        return cls(tt_begin, tt_end, vt_begin, vt_end)
 
     def __str__(self) -> str:
         return (

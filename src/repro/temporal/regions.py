@@ -178,6 +178,36 @@ class Region:
         """Minimum bounding region of two regions (rect or stair)."""
         return bounding_region([self, other])
 
+    # ------------------------------------------------------------------
+    # The geometry the R* algorithms decide on (the GR-tree's insertion
+    # penalties, split and reinsertion order; cf. rtree.geometry.Rect)
+    # ------------------------------------------------------------------
+
+    #: Split axes: transaction time, then valid time.
+    ndim = 2
+
+    @property
+    def lo(self) -> tuple:
+        return (self.tt_lo, self.vt_lo)
+
+    @property
+    def hi(self) -> tuple:
+        return (self.tt_hi, self.vt_hi)
+
+    def enlargement(self, other: "Region") -> int:
+        """Area growth needed to absorb *other*."""
+        return self.union_bounds(other).area() - self.area()
+
+    def overlap_area(self, other: "Region") -> int:
+        inter = self.intersection(other)
+        return 0 if inter is None else inter.area()
+
+    def distance_to_center(self, other: "Region") -> float:
+        """Squared distance between the centers of the bounding boxes."""
+        return ((self.tt_lo + self.tt_hi) / 2 - (other.tt_lo + other.tt_hi) / 2) ** 2 + (
+            (self.vt_lo + self.vt_hi) / 2 - (other.vt_lo + other.vt_hi) / 2
+        ) ** 2
+
     def __str__(self) -> str:
         shape = "stair" if self.stair else "rect"
         return (

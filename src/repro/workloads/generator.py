@@ -6,8 +6,8 @@ A workload is a reproducible stream of operations over a simulated clock:
   (``VTend = NOW``) -- the data the GR-tree exists for;
 * logical deletions and modifications, which freeze transaction time and
   produce the stopped cases of Figure 2;
-* queries: current timeslices ("who works here now?"), past timeslices
-  (the Julie query shape), and bitemporal window queries.
+* queries: current timeslices ("who works here now?") and bitemporal
+  window queries.
 
 All six cases of Figure 2 arise naturally from the mix.
 """
@@ -148,13 +148,6 @@ class BitemporalWorkload:
         """Everything current and valid right now."""
         now = self.clock.now
         return TimeExtent(now, UC, now, NOW)
-
-    def past_timeslice_query(self) -> TimeExtent:
-        """The Julie shape: knowledge at a past time about a past time."""
-        now = self.clock.now
-        tt = now - self.rng.randint(0, max(1, now // 2))
-        vt = now - self.rng.randint(0, max(1, now // 2))
-        return TimeExtent(max(0, tt), max(0, tt), max(0, vt), max(0, vt))
 
     def window_query(self, tt_span: int = 10, vt_span: int = 10) -> TimeExtent:
         now = self.clock.now
