@@ -14,12 +14,11 @@ statement path that crosses every storage failpoint) three ways:
   this workload never traverses (``osfile.read``): arming one point
   must not tax the others.
 
-Methodology is the interleaved-round scheme of
-``bench_perf_obs_overhead``: each round times all variants back to back
-with the GC off, and the asserted number is the *median of per-round
-ratios*, so interpreter drift cancels.  The gate: an unarmed registry
-costs < 10% on the end-to-end statement path (the per-hit cost is one
-missed dict lookup; the margin is scheduler noise on a full SQL
+Timing uses interleaved rounds: each round times all variants back to
+back with the GC off, and the asserted number is the *median of
+per-round ratios*, so interpreter drift cancels.  The gate: an unarmed
+registry costs < 10% on the end-to-end statement path (the per-hit cost
+is one missed dict lookup; the margin is scheduler noise on a full SQL
 round-trip).
 """
 

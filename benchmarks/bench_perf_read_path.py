@@ -12,8 +12,7 @@ Layer by layer (see ``docs/performance.md``):
 * the **server-side caches** (parsed-statement LRU + the blade's handle
   cache) are timed end to end through repeated SQL statements.
 
-Timing uses the interleaved-round methodology of
-``bench_perf_obs_overhead``: every round times all variants back to
+Timing uses interleaved rounds: every round times all variants back to
 back with the GC off, and the reported speedup is the *median of
 per-round ratios*, so interpreter drift cancels.  Machine-readable
 results land in ``benchmarks/out/BENCH_read_path.json`` (uploaded as a

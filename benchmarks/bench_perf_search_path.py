@@ -16,8 +16,9 @@ itself, at scale, on both hot paths:
   *byte-identical* pages (asserted) and must not be slower than the
   generic loop beyond noise.
 
-Timing follows the interleaved-round methodology of
-``bench_perf_obs_overhead`` (GC off, median of per-round ratios).
+Timing uses interleaved rounds: each round times both variants back to
+back with the GC off, and the reported ratio is the median of per-round
+ratios, so interpreter drift cancels.
 Results append to ``benchmarks/out/BENCH_search_path.json`` -- a
 history, not a snapshot -- and CI fails when a gate fails, because the
 gate is an assertion in this test.

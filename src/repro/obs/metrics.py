@@ -20,6 +20,15 @@ The registry is shared by every worker thread of the serving layer
 lock: without it, concurrent ``inc`` calls lose updates (read-modify-
 write on a dict slot) and a snapshot taken mid-update can observe a
 histogram whose ``count`` and bucket tallies disagree.
+
+A counter increment made while a span is open goes, without the lock,
+to the calling thread's :attr:`sink`: the delta map of the span open
+innermost on that thread (:mod:`repro.obs.spans` keeps it current).
+That is how a span learns which counters *its* statement moved without
+diffing the registry, and without picking up other threads'
+increments.  When the thread's root span closes, its counter deltas
+are added to the totals under the lock (:meth:`MetricsRegistry.publish`),
+so the totals show a statement's counters once it has finished.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ from __future__ import annotations
 import bisect
 import threading
 import time
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 #: Default latency buckets (seconds).  Fixed, so exports are stable.
 DEFAULT_BUCKETS: Sequence[float] = (
@@ -116,6 +125,12 @@ class Histogram:
         }
 
 
+class _Sink(threading.local):
+    #: Where this thread's counter increments go: the delta map of the
+    #: span open innermost on it, or ``None`` (straight to the totals).
+    deltas: Optional[Dict[str, float]] = None
+
+
 class MetricsRegistry:
     """Counters, gauges, histograms, and pull-based collectors."""
 
@@ -127,16 +142,34 @@ class MetricsRegistry:
         self._counters: Dict[str, float] = {}
         self._gauges: Dict[str, float] = {}
         self._histograms: Dict[str, Histogram] = {}
-        self._collectors: Dict[str, Callable[[], Mapping[str, float]]] = {}
+        #: prefix -> (collector, its ``key -> "prefix.key"`` names, built
+        #: once per key instead of on every snapshot).
+        self._collectors: Dict[
+            str, Tuple[Callable[[], Mapping[str, float]], Dict[str, str]]
+        ] = {}
         #: Guards every map above; re-entrant because collectors pulled
         #: during a snapshot may themselves read the registry.
         self._lock = threading.RLock()
+        #: Per thread: where its counter increments go (see the module
+        #: docstring).
+        self.sink = _Sink()
 
     # -- push metrics ---------------------------------------------------
 
     def inc(self, name: str, amount: float = 1) -> None:
+        deltas = self.sink.deltas
+        if deltas is None:
+            with self._lock:
+                self._counters[name] = self._counters.get(name, 0) + amount
+        elif amount:
+            deltas[name] = deltas.get(name, 0) + amount
+
+    def publish(self, deltas: Mapping[str, float]) -> None:
+        """Add counter *deltas* -- a closed root span's -- to the totals."""
         with self._lock:
-            self._counters[name] = self._counters.get(name, 0) + amount
+            counters = self._counters
+            for name, amount in deltas.items():
+                counters[name] = counters.get(name, 0) + amount
 
     def counter(self, name: str) -> float:
         with self._lock:
@@ -187,7 +220,9 @@ class MetricsRegistry:
         reopened with a fresh buffer pool keeps a single entry).
         """
         with self._lock:
-            self._collectors[prefix] = fn
+            previous = self._collectors.get(prefix)
+            names = {} if previous is None else previous[1]
+            self._collectors[prefix] = (fn, names)
 
     def unregister_collector(self, prefix: str) -> None:
         with self._lock:
@@ -203,11 +238,21 @@ class MetricsRegistry:
         """A flat name -> value map of counters, gauges, and collectors."""
         with self._lock:
             values = dict(self._counters)
-            values.update(self._gauges)
+        values.update(self.pull_snapshot())
+        return values
+
+    def pull_snapshot(self) -> Dict[str, float]:
+        """The gauges and the collectors' values: a snapshot without
+        the counters, which spans take from their :attr:`sink`."""
+        with self._lock:
+            values = dict(self._gauges)
             collectors = list(self._collectors.items())
-        for prefix, fn in collectors:
+        for prefix, (fn, names) in collectors:
             for key, value in fn().items():
-                values[f"{prefix}.{key}"] = value
+                name = names.get(key)
+                if name is None:
+                    name = names[key] = f"{prefix}.{key}"
+                values[name] = value
         return values
 
     @staticmethod

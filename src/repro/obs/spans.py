@@ -5,9 +5,20 @@ operations (parse, plan choice, each purpose-function call) open child
 spans, producing a tree.  A span records its duration (from the
 registry's injected timer) and -- the part the paper's flat trace
 messages cannot express -- the *metric deltas* that occurred while it
-was open: a metrics snapshot is taken when the span starts and again
-when it finishes, so each span shows exactly the page I/O, lock traffic,
-and purpose-function calls it caused.
+was open:
+
+* every span carries the counter increments (``MetricsRegistry.inc``)
+  its own thread made while it was open; a closing span adds them to
+  its parent, so a span costs in proportion to the counters it moved,
+  not to the size of the registry;
+* the root span also diffs the gauges and the pull collectors (buffer
+  pools, sbspaces, WAL, locks) between its start and its end, so it
+  carries every delta of its statement.
+
+Consecutive calls of one purpose function under one parent -- the
+``am_getnext`` calls of a scan -- can be *folded* into a single span
+whose ``calls`` attribute counts them and whose duration is the time
+spent inside them only (:meth:`SpanRecorder.fold`).
 
 The recorder is shared by every worker thread of the serving layer, but
 a span tree belongs to exactly one statement on one thread, so the
@@ -20,7 +31,6 @@ from __future__ import annotations
 
 import itertools
 import threading
-from contextlib import contextmanager
 from typing import Any, Dict, List, Optional
 
 from repro.obs.metrics import MetricsRegistry
@@ -37,7 +47,6 @@ class Span:
         "start_time",
         "end_time",
         "metric_deltas",
-        "_metrics_before",
     )
 
     def __init__(
@@ -53,7 +62,6 @@ class Span:
         self.start_time: Optional[float] = None
         self.end_time: Optional[float] = None
         self.metric_deltas: Dict[str, float] = {}
-        self._metrics_before: Optional[Dict[str, float]] = None
 
     @property
     def finished(self) -> bool:
@@ -119,6 +127,88 @@ class Span:
         return f"Span({self.name!r}, children={len(self.children)})"
 
 
+def _add(into: Dict[str, float], deltas: Dict[str, float]) -> None:
+    for key, value in deltas.items():
+        into[key] = into.get(key, 0) + value
+
+
+class _Open:
+    """``with recorder.span(...)``: a new span, open for the block."""
+
+    __slots__ = ("recorder", "stack", "span", "saved", "pulled")
+
+    def __init__(self, recorder: "SpanRecorder", span: Span) -> None:
+        self.recorder = recorder
+        self.stack = recorder._stack()
+        self.span = span
+        #: A root's gauge and collector values at its start.
+        self.pulled: Optional[Dict[str, float]] = None
+
+    def __enter__(self) -> Span:
+        recorder, stack, span = self.recorder, self.stack, self.span
+        registry = recorder.registry
+        if stack:
+            stack[-1].children.append(span)
+        else:
+            self.pulled = registry.pull_snapshot()
+            recorder._add_root(span)
+        sink = registry.sink
+        self.saved = sink.deltas
+        sink.deltas = span.metric_deltas
+        stack.append(span)
+        span.start_time = registry.timer()
+        return span
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        span, saved = self.span, self.saved
+        registry = self.recorder.registry
+        span.end_time = registry.timer()
+        self.stack.pop()
+        registry.sink.deltas = saved
+        if self.pulled is not None:
+            deltas = span.metric_deltas
+            registry.publish(deltas)
+            pulled = registry.pull_snapshot()
+            deltas.update(registry.delta(self.pulled, pulled))
+        elif saved is not None:
+            _add(saved, span.metric_deltas)
+
+
+class _Resume:
+    """``with recorder.fold(...)``: one more call of a folded span."""
+
+    __slots__ = ("registry", "stack", "span", "saved", "interval", "start")
+
+    def __init__(
+        self, registry: MetricsRegistry, stack: List[Span], span: Span
+    ) -> None:
+        self.registry = registry
+        self.stack = stack
+        self.span = span
+
+    def __enter__(self) -> Span:
+        registry = self.registry
+        sink = registry.sink
+        self.saved = sink.deltas
+        self.interval = sink.deltas = {}
+        self.stack.append(self.span)
+        self.start = registry.timer()
+        return self.span
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        registry, span, start = self.registry, self.span, self.start
+        elapsed = registry.timer() - start
+        if span.start_time is None:
+            span.start_time = span.end_time = start
+        span.end_time += elapsed
+        self.stack.pop()
+        registry.sink.deltas = self.saved
+        interval = self.interval
+        if interval:
+            _add(span.metric_deltas, interval)
+            _add(self.saved, interval)
+
+
 class SpanRecorder:
     """Builds span trees; keeps the most recent *max_roots* root spans.
 
@@ -153,26 +243,33 @@ class SpanRecorder:
             if len(self.roots) > self.max_roots:
                 del self.roots[: len(self.roots) - self.max_roots]
 
-    @contextmanager
-    def span(self, name: str, **attrs):
-        span = Span(name, attrs, span_id=next(self._ids))
-        span.start_time = self.registry.timer()
-        span._metrics_before = self.registry.snapshot()
+    def span(self, name: str, **attrs) -> _Open:
+        """A context manager: a new span, the current span's child (or
+        a root) while the block runs."""
+        return _Open(self, Span(name, attrs, span_id=next(self._ids)))
+
+    def fold(self, name: str, **attrs):
+        """Like :meth:`span`, except that a call made right after
+        another fold of *name* under the same parent -- with no other
+        span opened there in between -- reopens that span.
+
+        The folded span's ``calls`` attribute counts the calls, and its
+        duration is the sum of the time spent inside them: what runs
+        between two calls stays in the parent's self time.  With no
+        span open this is a plain :meth:`span`.
+        """
         stack = self._stack()
-        if stack:
-            stack[-1].children.append(span)
-        else:
-            self._add_root(span)
-        stack.append(span)
-        try:
-            yield span
-        finally:
-            stack.pop()
-            span.end_time = self.registry.timer()
-            span.metric_deltas = self.registry.delta(
-                span._metrics_before, self.registry.snapshot()
-            )
-            span._metrics_before = None
+        if not stack:
+            return self.span(name, **attrs)
+        siblings = stack[-1].children
+        last = siblings[-1] if siblings else None
+        # A folded span is the one with a ``calls`` attribute.
+        if last is None or last.name != name or "calls" not in last.attrs:
+            last = Span(name, attrs, span_id=next(self._ids))
+            last.attrs["calls"] = 0
+            siblings.append(last)
+        last.attrs["calls"] += 1
+        return _Resume(self.registry, stack, last)
 
     def add_completed_child(
         self, name: str, start_time: float, end_time: float, **attrs

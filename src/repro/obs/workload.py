@@ -55,13 +55,6 @@ def fingerprint(sql: str) -> str:
     return digest.hexdigest()
 
 
-def _delta_sum(deltas: Mapping[str, float], suffix: str) -> float:
-    """Sum the span metric deltas whose key ends with ``.suffix``."""
-    return sum(
-        value for key, value in deltas.items() if key.endswith(suffix)
-    )
-
-
 class FingerprintStats:
     """Rolling statistics for one statement fingerprint."""
 
@@ -163,9 +156,9 @@ class WorkloadModel:
         """Fold one completed statement into the model.
 
         ``deltas`` is the root span's metric-delta map; buffer-pool and
-        sbspace reads/writes, node-cache traffic, and lock counters are
-        extracted from it by suffix, so new pools and caches are counted
-        without this module knowing their names.
+        sbspace reads/writes, node-cache traffic (``nodecache.*``), and
+        lock counters are extracted from it by suffix, so new pools and
+        caches are counted without this module knowing their names.
         """
         fp = fingerprint(sql)
         with self._lock:
@@ -192,10 +185,18 @@ class WorkloadModel:
             if rows is not None:
                 stats.rows_returned += rows
             if deltas:
-                stats.pages_read += _delta_sum(deltas, ".logical_reads")
-                stats.pages_written += _delta_sum(deltas, ".logical_writes")
-                stats.cache_hits += _delta_sum(deltas, ".hits")
-                stats.cache_misses += _delta_sum(deltas, ".misses")
+                for key, value in deltas.items():
+                    if key.endswith(".logical_reads"):
+                        stats.pages_read += value
+                    elif key.endswith(".logical_writes"):
+                        stats.pages_written += value
+                    # Node caches only: failpoints and the statement
+                    # cache count ``.hits`` too.
+                    elif key.startswith("nodecache."):
+                        if key.endswith(".hits"):
+                            stats.cache_hits += value
+                        elif key.endswith(".misses"):
+                            stats.cache_misses += value
                 stats.lock_waits += deltas.get("locks.conflicts", 0)
                 stats.lock_wait_seconds += deltas.get("locks.wait_seconds", 0)
             return stats

@@ -155,7 +155,11 @@ class Executor:
             return routine(*args)
         obs.metrics.inc("am.calls")
         obs.metrics.inc("am.calls." + slot)
-        with obs.span("am." + slot, am=am.name):
+        # A scan's am_getnext calls share one span (attribute calls=N):
+        # a span per row would cost more than most rows do.
+        spans = obs.spans
+        scope = spans.fold if slot == "am_getnext" else spans.span
+        with scope("am." + slot, am=am.name):
             return routine(*args)
 
     def _descriptor(self, info: IndexInfo, session) -> IndexDescriptor:

@@ -390,15 +390,18 @@ class DatabaseServer:
             if session.in_transaction:
                 self.bind_transaction(session, session.transaction.txn_id)
             obs = self.obs
-            parse_start = obs.metrics.timer()
+            # The parse is timed only when it will be recorded: with the
+            # hub disabled a statement reads no clock.
+            enabled = obs.enabled
+            parse_start = obs.metrics.timer() if enabled else 0.0
             statement = self._parse(sql_text)
-            parse_end = obs.metrics.timer()
+            parse_end = obs.metrics.timer() if enabled else 0.0
             if isinstance(statement, ast.Admin):
                 # Admin statements inspect observability state: they run
                 # unspanned (SHOW SPANS never renders its own half-open
                 # root) and stay out of the workload model and event log.
                 return statement.run(self, session)
-            if not obs.enabled:
+            if not enabled:
                 result = self.executor.execute(statement, session)
                 self._maybe_log_ddl(statement, sql_text)
                 return result

@@ -120,14 +120,20 @@ class TestAdmissionControl:
             db._engine_lock.acquire()
             sockets = []
             try:
-                replies = []
-                for _ in range(4):
+                jobs = net._jobs
+                for index in range(4):
                     sock = socket.create_connection(
                         (net.host, net.port), timeout=5
                     )
                     sock.settimeout(5)
                     sockets.append(sock)
                     protocol.write_frame(sock, protocol.execute("SELECT 1"))
+                    if index == 0:
+                        # The worker has taken the first statement.
+                        assert wait_until(
+                            lambda: jobs.unfinished_tasks == 1
+                            and jobs.qsize() == 0
+                        )
                 # Two statements are absorbed (one in flight, one queued);
                 # the other two must be rejected immediately -- but which
                 # two depends on reader-thread scheduling, so poll.

@@ -2,6 +2,7 @@
 (literal normalization, stable hashing, delta extraction, orderings,
 bounded eviction, text/JSON rendering)."""
 
+import json
 import threading
 
 import pytest
@@ -12,6 +13,7 @@ from repro.obs.workload import (
     fingerprint,
     normalize,
 )
+from repro.server import DatabaseServer
 
 
 class TestNormalize:
@@ -73,11 +75,15 @@ class TestObserve:
                 "pool.logical_reads": 4,
                 "sbspace.logical_reads": 2,
                 "pool.logical_writes": 1,
-                "node_cache.hits": 6,
-                "node_cache.misses": 2,
+                "nodecache.index.gi.hits": 6,
+                "nodecache.index.gi.misses": 2,
                 "locks.conflicts": 3,
                 "locks.wait_seconds": 0.25,
                 "wal.records": 9,  # unrelated: must not be counted
+                # neither failpoint nor statement-cache hits are cache hits
+                "faults.wal.append.hits": 3,
+                "sql.stmtcache.hits": 4,
+                "sql.stmtcache.misses": 5,
             },
         )
         assert stats.pages_read == 6
@@ -92,6 +98,25 @@ class TestObserve:
         model = WorkloadModel()
         stats = model.observe("SELECT 1", 0.001)
         assert stats.cache_hit_ratio == 1.0
+
+    def test_failpoint_hits_are_not_cache_hits(self):
+        server = DatabaseServer()
+        server.execute("CREATE TABLE t (a INTEGER)")
+        server.execute("SET FAULT wal.append RAISE HIT 1000000")
+        for i in range(3):
+            server.execute(f"INSERT INTO t VALUES ({i})")
+        (entry,) = [
+            entry
+            for entry in json.loads(server.execute("SHOW WORKLOAD JSON"))[
+                "fingerprints"
+            ]
+            if entry["statement"] == "INSERT INTO T VALUES (?)"
+        ]
+        assert server.faults.armed()["wal.append"].endswith("hits=6 triggers=0")
+        assert entry["calls"] == 3
+        assert entry["cache_hit_ratio"] == 1.0
+        stats = server.obs.workload.get(entry["fingerprint"])
+        assert (stats.cache_hits, stats.cache_misses) == (0, 0)
 
     def test_errors_counted(self):
         model = WorkloadModel()
