@@ -7,13 +7,21 @@ operator class substitute ``compare()`` without touching the structure.
 
 Node capacity is byte-budgeted rather than entry-counted because keys
 are variable length.
+
+Decoding a page costs an object per entry, so the store keeps the last
+decoded form of each page and hands out a copy of it again as long as
+the buffer pool returns the very same page-bytes object (pages are
+immutable ``bytes``; a write, eviction or invalidation replaces the
+object).  The buffer read itself always happens, so I/O counts are
+those of a store without the map.
 """
 
 from __future__ import annotations
 
 import struct
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.storage.buffer import BufferPool
 
@@ -25,12 +33,30 @@ _LEAF_PTR = struct.Struct("<qi")   # rowid, fragid
 _CHILD_PTR = struct.Struct("<q")   # child page id
 
 
-@dataclass
 class BTreeEntry:
-    key: bytes
-    rowid: Optional[int] = None
-    fragid: int = 0
-    child: Optional[int] = None
+    """A key with its row (leaf) or child page (internal node).  Decoded
+    copies of a node share their entries, so an entry is never mutated:
+    writers insert, delete and replace entries in a node's own list."""
+
+    __slots__ = ("key", "rowid", "fragid", "child")
+
+    def __init__(
+        self,
+        key: bytes,
+        rowid: Optional[int] = None,
+        fragid: int = 0,
+        child: Optional[int] = None,
+    ) -> None:
+        self.key = key
+        self.rowid = rowid
+        self.fragid = fragid
+        self.child = child
+
+    def __repr__(self) -> str:
+        return (
+            f"BTreeEntry(key={self.key!r}, rowid={self.rowid}, "
+            f"fragid={self.fragid}, child={self.child})"
+        )
 
     def encoded_size(self, leaf: bool) -> int:
         ptr = _LEAF_PTR.size if leaf else _CHILD_PTR.size
@@ -62,6 +88,9 @@ class BTreeNodeStore:
         self.page_size = buffer.store.page_size
         if self.page_size < 128:
             raise ValueError("page size too small for a B+-tree node")
+        #: page id -> (page bytes, node decoded from them), least
+        #: recently read first; at most ``buffer.capacity`` pages.
+        self._decoded: "OrderedDict[int, Tuple[bytes, BTreeNode]]" = OrderedDict()
 
     def fits(self, node: BTreeNode) -> bool:
         return node.byte_size() <= self.page_size
@@ -70,7 +99,25 @@ class BTreeNodeStore:
         return BTreeNode(self.buffer.allocate(), leaf)
 
     def read(self, page_id: int) -> BTreeNode:
+        """The node on *page_id*, as a node of the caller's own: its
+        ``entries`` list may be mutated freely."""
         data = self.buffer.read(page_id)
+        decoded = self._decoded
+        hit = decoded.get(page_id)
+        if hit is not None and hit[0] is data:
+            decoded.move_to_end(page_id)
+            node = hit[1]
+        else:
+            node = self._decode(page_id, data)
+            decoded[page_id] = (data, node)
+            decoded.move_to_end(page_id)
+            if len(decoded) > self.buffer.capacity:
+                decoded.popitem(last=False)
+        return BTreeNode(
+            page_id, node.leaf, list(node.entries), node.next_leaf, node.leftmost
+        )
+
+    def _decode(self, page_id: int, data: bytes) -> BTreeNode:
         leaf, count, next_leaf = _NODE_HEADER.unpack_from(data, 0)
         offset = _NODE_HEADER.size
         node = BTreeNode(page_id, bool(leaf), next_leaf=next_leaf)

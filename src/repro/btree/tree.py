@@ -49,14 +49,15 @@ class BPlusTree:
 
         ``right=True`` counts entries with ``entry.key <= key``
         (bisect_right), ``right=False`` entries with ``entry.key < key``
-        (bisect_left).  Nodes hold hundreds of variable-length keys, so
-        descent cost is dominated by comparator calls -- each of which
-        re-resolves a support UDR -- making this log/linear distinction
-        the hot-path difference for bulk loads."""
+        (bisect_left).  Nodes hold hundreds of variable-length keys, and
+        every comparison runs the operator class's support routine on
+        two decoded keys, so comparator calls dominate the cost of a
+        descent, a leaf walk's start and a bulk load alike."""
+        compare = self.compare
         lo, hi = 0, len(entries)
         while lo < hi:
             mid = (lo + hi) // 2
-            cmp = self.compare(entries[mid].key, key)
+            cmp = compare(entries[mid].key, key)
             if cmp < 0 or (right and cmp == 0):
                 lo = mid + 1
             else:
@@ -151,16 +152,19 @@ class BPlusTree:
     # ------------------------------------------------------------------
 
     def delete(self, key: bytes, rowid: int, fragid: int = 0) -> bool:
-        path = self._descend_left(key)
-        leaf: Optional[BTreeNode] = path[-1]
+        compare = self.compare
+        leaf: Optional[BTreeNode] = self._descend_left(key)[-1]
+        start = self._bisect(leaf.entries, key, right=False)
         # Equal keys may continue in right siblings; chain until passed.
         while leaf is not None:
-            for i, entry in enumerate(leaf.entries):
-                cmp = self.compare(entry.key, key)
+            entries = leaf.entries
+            for i in range(start, len(entries)):
+                entry = entries[i]
+                cmp = compare(entry.key, key)
                 if cmp > 0:
                     return False
                 if cmp == 0 and entry.rowid == rowid and entry.fragid == fragid:
-                    del leaf.entries[i]
+                    del entries[i]
                     self.store.write(leaf)
                     self.size -= 1
                     self._shrink_root()
@@ -168,6 +172,7 @@ class BPlusTree:
             leaf = (
                 self.store.read(leaf.next_leaf) if leaf.next_leaf != -1 else None
             )
+            start = 0
         return False
 
     def _shrink_root(self) -> None:
@@ -199,15 +204,21 @@ class BPlusTree:
             path = self._descend_left(low)
             self.last_node_accesses += len(path)
             leaf = path[-1]
+        compare = self.compare
         results: List[Tuple[bytes, int, int]] = []
-        while leaf is not None:
-            for entry in leaf.entries:
-                if low is not None:
-                    cmp_low = self.compare(entry.key, low)
-                    if cmp_low < 0 or (cmp_low == 0 and not low_inclusive):
-                        continue
+        while True:
+            entries = leaf.entries
+            start = 0
+            if low is not None:
+                # The first entry past the low bound: every later one, in
+                # this leaf and the next, is past it too.
+                start = self._bisect(entries, low, right=not low_inclusive)
+                if start < len(entries):
+                    low = None
+            for i in range(start, len(entries)):
+                entry = entries[i]
                 if high is not None:
-                    cmp_high = self.compare(entry.key, high)
+                    cmp_high = compare(entry.key, high)
                     if cmp_high > 0 or (cmp_high == 0 and not high_inclusive):
                         return results
                 results.append((entry.key, entry.rowid, entry.fragid))
@@ -215,7 +226,6 @@ class BPlusTree:
                 return results
             leaf = self.store.read(leaf.next_leaf)
             self.last_node_accesses += 1
-        return results
 
     def _leftmost_leaf_counted(self) -> BTreeNode:
         node = self.store.read(self.root_id)

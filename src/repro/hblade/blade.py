@@ -20,7 +20,7 @@ range planning, dynamic support resolution) plus the hash side.  Step 4
 extensibility works as there, doubled: the
 operator class supplies *two* support functions, ``HB_Compare`` for the
 tree order and ``HB_Hash`` for bucket placement, both resolved
-dynamically at call time.  Contract between them: values that compare
+dynamically once per index open.  Contract between them: values that compare
 equal must hash equal, and the key codec must be injective up to
 comparator equality -- the blade canonicalizes the one stock violation
 (IEEE ``-0.0`` vs ``0.0``) before encoding.
@@ -36,6 +36,7 @@ from repro.bblade.blade import (
     comparison_strategies,
     comparison_udrs,
     range_bounds,
+    unbound,
 )
 from repro.datablade.bladesmith import OpclassDefinition
 from repro.datablade.kit import MaterializedScan, save_root
@@ -124,7 +125,11 @@ class HybridDataBlade(BTreeDataBlade):
 
     def validate(self, td: IndexDescriptor) -> None:
         super().validate(td)
-        self._support(td, "hash", 1)
+        self._support_name(td, "hash")
+
+    def bind(self, td: IndexDescriptor) -> None:
+        super().bind(td)
+        td.user_data["directory"].hash_key = self._support(td, "hash", 1)
 
     def option_spec(self):
         """``hash_path = 'off'`` serves point lookups from the tree too;
@@ -139,17 +144,16 @@ class HybridDataBlade(BTreeDataBlade):
     def build(self, td, pools, meta, options, obs) -> Dict[str, Any]:
         fresh = meta is None
         tree = self._open_tree(td, pools["tree"], fresh)
-        hasher = self._support(td, "hash", 1)
         if fresh:
             directory = HashDirectory.create(
                 pools["hash"],
-                hasher,
+                unbound,
                 initial_buckets=options["buckets"],
                 split_threshold=options["split_threshold"],
             )
         else:
             directory = HashDirectory.open(
-                pools["hash"], hasher, split_threshold=options["split_threshold"]
+                pools["hash"], unbound, split_threshold=options["split_threshold"]
             )
         return {"tree": tree, "directory": directory}
 
