@@ -2,11 +2,13 @@
 
 Layer by layer (see ``docs/performance.md``):
 
-* the **node cache** (deserialized ``GRNode`` LRU in ``GRNodeStore``) is
-  the tentpole: warm-read query throughput on the Perf-1 workload must
-  be at least ``SPEEDUP_FLOOR`` times the cache-off baseline, with
-  *identical* ``search_all`` answers and a passing ``check()`` under
-  every cache configuration (off, tiny-with-evictions, default);
+* the **decoded pages** (each buffer-pool frame keeps its decoded
+  ``GRNode``, :meth:`~repro.storage.buffer.BufferPool.read_decoded`)
+  are the tentpole: warm-read query throughput on the Perf-1 workload
+  must be at least ``SPEEDUP_FLOOR`` times a baseline store that decodes
+  the page on every read, with *identical* ``search_all`` answers and a
+  passing ``check()`` under every configuration (the baseline, an
+  8-frame pool with evictions, the default pool);
 * the **serialization fast path** (``pack_into``/``iter_unpack`` over a
   reusable scratch page) is timed through the insert workload;
 * the **server-side caches** (parsed-statement LRU + the blade's handle
@@ -26,7 +28,7 @@ import time
 
 from _perf import PAGE_SIZE
 from repro.datablade import register_grtree_blade
-from repro.grtree.node import GRNodeStore
+from repro.grtree.node import GRNodeStore, _decode
 from repro.grtree.specialize import SpecializedOps, numpy_available
 from repro.grtree.tree import GRTree
 from repro.server import DatabaseServer
@@ -38,15 +40,16 @@ from repro.workloads import BitemporalWorkload, WorkloadConfig
 STEPS = 500           # Perf-1-style mixed history
 QUERIES = 30          # window queries per timed batch
 ROUNDS = 9
-SPEEDUP_FLOOR = 1.3   # the CI gate: generic warm reads vs node-cache-off
-#: The raised gate: node cache + specialized/vectorized scan kernels vs
-#: the cache-off generic baseline.  Only enforced when numpy is present
-#: (the pure-Python fallback is gated by SPEEDUP_FLOOR alone).
+SPEEDUP_FLOOR = 1.3   # the CI gate: generic warm reads vs decode-every-read
+#: The raised gate: decoded pages + specialized/vectorized scan kernels
+#: vs the decode-every-read generic baseline.  Only enforced when numpy
+#: is present (the pure-Python fallback is gated by SPEEDUP_FLOOR alone).
 SPEC_SPEEDUP_FLOOR = 2.0
-NODE_CACHE_CONFIGS = (0, 8, 128)  # off / eviction-heavy / default
-#: All timed tree-layer variants: the node-cache ladder plus the
-#: specialized configuration (default cache + compiled scan kernels).
-TREE_CONFIGS = NODE_CACHE_CONFIGS + ("spec",)
+POOL_FRAMES = 96
+#: All timed tree-layer variants: the decode-every-read baseline, an
+#: eviction-heavy 8-frame pool, the default pool, and the default pool
+#: with compiled scan kernels.
+TREE_CONFIGS = ("baseline", "8 frames", "default", "spec")
 
 SQL_ROUNDS = 5
 SQL_STATEMENTS = 60
@@ -54,12 +57,23 @@ SQL_STATEMENTS = 60
 EXTENT = "'01/01/98, UC, 01/01/98, NOW'"
 
 
-def build_tree(node_cache_size: int):
+class DecodeEveryRead(GRNodeStore):
+    """The baseline: a store whose ``read`` runs the codec on every call
+    instead of sharing the frame's decoded node."""
+
+    def read(self, page_id):
+        with self._lock:
+            return _decode(page_id, self.buffer.read(page_id))
+
+
+def build_tree(config: str):
     """The Perf-1 mixed workload over a fresh GR-tree; same seed for
     every configuration, so trees and query lists are identical."""
     clock = Clock(now=100)
-    pool = BufferPool(InMemoryPageStore(page_size=PAGE_SIZE), capacity=96)
-    store = GRNodeStore(pool, node_cache_size=node_cache_size)
+    frames = 8 if config == "8 frames" else POOL_FRAMES
+    pool = BufferPool(InMemoryPageStore(page_size=PAGE_SIZE), capacity=frames)
+    store_class = DecodeEveryRead if config == "baseline" else GRNodeStore
+    store = store_class(pool)
     tree = GRTree.create(store, clock, time_horizon=20)
     workload = BitemporalWorkload(
         clock,
@@ -74,7 +88,7 @@ def build_tree(node_cache_size: int):
     workload.run(tree, STEPS)
     build_seconds = time.perf_counter() - start
     queries = [workload.window_query(10, 10) for _ in range(QUERIES)]
-    return tree, store, workload, queries, build_seconds
+    return tree, pool, workload, queries, build_seconds
 
 
 def query_batch(tree, queries) -> float:
@@ -85,19 +99,18 @@ def query_batch(tree, queries) -> float:
 
 
 def measure_tree_layer() -> dict:
-    """Build one tree per cache config, verify equivalence, time warm
-    query batches in interleaved rounds."""
+    """Build one tree per config, verify equivalence, time warm query
+    batches in interleaved rounds."""
     setups = {}
     for config in TREE_CONFIGS:
-        size = 128 if config == "spec" else config
-        tree, store, workload, queries, build_seconds = build_tree(size)
+        tree, pool, workload, queries, build_seconds = build_tree(config)
         if config == "spec":
-            # Same tree bytes, same node cache; only the scan path is
+            # Same tree bytes, same pool; only the scan path is
             # specialized (compiled + vectorized kernels).
             tree.spec = SpecializedOps()
         setups[config] = {
             "tree": tree,
-            "store": store,
+            "pool": pool,
             "queries": queries,
             "build_seconds": build_seconds,
         }
@@ -137,11 +150,12 @@ def measure_tree_layer() -> dict:
 
     def median_speedup(config) -> float:
         return statistics.median(
-            base / timed for base, timed in zip(rounds[0], rounds[config])
+            base / timed
+            for base, timed in zip(rounds["baseline"], rounds[config])
         )
 
-    default_size = NODE_CACHE_CONFIGS[-1]
-    cache_stats = setups[default_size]["store"].cache_stats.to_dict()
+    pool = setups["default"]["pool"]
+    decode_stats = {"decode_hits": pool.decode_hits, "decodes": pool.decodes}
     spec_stats = setups["spec"]["tree"].spec.stats.to_dict()
     return {
         "workload": {
@@ -152,18 +166,18 @@ def measure_tree_layer() -> dict:
             "seed": 101,
         },
         "configs": {
-            str(config): {
+            config: {
                 "build_seconds": setups[config]["build_seconds"],
                 "batch_seconds_best": min(rounds[config]),
                 "batch_seconds_median": statistics.median(rounds[config]),
             }
             for config in TREE_CONFIGS
         },
-        "warm_read_speedup": median_speedup(default_size),
-        "warm_read_speedup_small_cache": median_speedup(8),
+        "warm_read_speedup": median_speedup("default"),
+        "warm_read_speedup_small_pool": median_speedup("8 frames"),
         "warm_read_speedup_specialized": median_speedup("spec"),
         "numpy_available": numpy_available(),
-        "node_cache_stats": cache_stats,
+        "decode_stats": decode_stats,
         "specializer_stats": spec_stats,
         "speedup_floor": SPEEDUP_FLOOR,
         "spec_speedup_floor": SPEC_SPEEDUP_FLOOR,
@@ -171,10 +185,7 @@ def measure_tree_layer() -> dict:
 
 
 def build_server(cached: bool) -> DatabaseServer:
-    server = DatabaseServer(
-        statement_cache_size=64 if cached else 0,
-        node_cache_size=128 if cached else 0,
-    )
+    server = DatabaseServer(statement_cache_size=64 if cached else 0)
     server.create_sbspace("spc")
     register_grtree_blade(server, handle_cache=cached)
     server.prefer_virtual_index = True
@@ -246,16 +257,17 @@ def test_read_path_speedups(write_artifact, append_bench):
         "perf_read_path.txt",
         "Perf read-path: cache layers + specialization, median of "
         f"{ROUNDS} interleaved rounds\n"
-        f"  warm-read speedup (node cache 128 vs off): {speedup:.2f}x "
-        f"(floor {SPEEDUP_FLOOR}x)\n"
-        "  warm-read speedup (node cache 8 vs off):   "
-        f"{tree_results['warm_read_speedup_small_cache']:.2f}x\n"
-        "  warm-read speedup (cache + specialized):   "
+        f"  warm-read speedup ({POOL_FRAMES}-frame pool vs decode every read): "
+        f"{speedup:.2f}x (floor {SPEEDUP_FLOOR}x)\n"
+        "  warm-read speedup (8-frame pool vs decode every read):  "
+        f"{tree_results['warm_read_speedup_small_pool']:.2f}x\n"
+        "  warm-read speedup (pool + specialized):                 "
         f"{spec_speedup:.2f}x "
         f"(floor {SPEC_SPEEDUP_FLOOR}x when numpy is available)\n"
         f"  numpy available: {tree_results['numpy_available']}\n"
-        f"  statement speedup (all server caches):     {stmt_speedup:.2f}x\n"
-        f"  node cache stats: {tree_results['node_cache_stats']}\n"
+        "  statement speedup (all server caches):                 "
+        f"{stmt_speedup:.2f}x\n"
+        f"  pool decode stats: {tree_results['decode_stats']}\n"
         f"  specializer stats: {tree_results['specializer_stats']}\n",
     )
     assert speedup >= SPEEDUP_FLOOR, (

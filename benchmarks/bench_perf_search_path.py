@@ -65,8 +65,9 @@ def build_big_tree():
         items.append((workload.make_extent(), rowid))
         if rowid % 50 == 49:
             clock.advance(1)
+    # Frames for every node: the pool keeps each one decoded.
     pool = BufferPool(InMemoryPageStore(page_size=PAGE_SIZE), capacity=4096)
-    store = GRNodeStore(pool, node_cache_size=8192)
+    store = GRNodeStore(pool)
     tree = bulk_load(store, clock, items)
     queries = [workload.window_query(40, 40) for _ in range(QUERIES)]
     return tree, items, queries
@@ -149,7 +150,7 @@ def measure_search() -> dict:
 def grow_tree(spec) -> tuple:
     clock = Clock(now=100)
     pool = BufferPool(InMemoryPageStore(page_size=1024), capacity=512)
-    store = GRNodeStore(pool, node_cache_size=512)
+    store = GRNodeStore(pool)
     tree = GRTree.create(store, clock, time_horizon=20, spec=spec)
     workload = BitemporalWorkload(
         clock,

@@ -6,22 +6,15 @@ comes entirely from the pluggable comparator, which is what lets a new
 operator class substitute ``compare()`` without touching the structure.
 
 Node capacity is byte-budgeted rather than entry-counted because keys
-are variable length.
-
-Decoding a page costs an object per entry, so the store keeps the last
-decoded form of each page and hands out a copy of it again as long as
-the buffer pool returns the very same page-bytes object (pages are
-immutable ``bytes``; a write, eviction or invalidation replaces the
-object).  The buffer read itself always happens, so I/O counts are
-those of a store without the map.
+are variable length.  Decoded nodes are kept by the buffer pool
+(:meth:`~repro.storage.buffer.BufferPool.read_decoded`).
 """
 
 from __future__ import annotations
 
 import struct
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.storage.buffer import BufferPool
 
@@ -88,9 +81,6 @@ class BTreeNodeStore:
         self.page_size = buffer.store.page_size
         if self.page_size < 128:
             raise ValueError("page size too small for a B+-tree node")
-        #: page id -> (page bytes, node decoded from them), least
-        #: recently read first; at most ``buffer.capacity`` pages.
-        self._decoded: "OrderedDict[int, Tuple[bytes, BTreeNode]]" = OrderedDict()
 
     def fits(self, node: BTreeNode) -> bool:
         return node.byte_size() <= self.page_size
@@ -99,23 +89,7 @@ class BTreeNodeStore:
         return BTreeNode(self.buffer.allocate(), leaf)
 
     def read(self, page_id: int) -> BTreeNode:
-        """The node on *page_id*, as a node of the caller's own: its
-        ``entries`` list may be mutated freely."""
-        data = self.buffer.read(page_id)
-        decoded = self._decoded
-        hit = decoded.get(page_id)
-        if hit is not None and hit[0] is data:
-            decoded.move_to_end(page_id)
-            node = hit[1]
-        else:
-            node = self._decode(page_id, data)
-            decoded[page_id] = (data, node)
-            decoded.move_to_end(page_id)
-            if len(decoded) > self.buffer.capacity:
-                decoded.popitem(last=False)
-        return BTreeNode(
-            page_id, node.leaf, list(node.entries), node.next_leaf, node.leftmost
-        )
+        return self.buffer.read_decoded(page_id, self._decode)
 
     def _decode(self, page_id: int, data: bytes) -> BTreeNode:
         leaf, count, next_leaf = _NODE_HEADER.unpack_from(data, 0)
@@ -155,7 +129,7 @@ class BTreeNodeStore:
                 parts.append(_LEAF_PTR.pack(entry.rowid, entry.fragid))
             else:
                 parts.append(_CHILD_PTR.pack(entry.child))
-        self.buffer.write(node.page_id, b"".join(parts))
+        self.buffer.write(node.page_id, b"".join(parts), node)
 
     def free(self, page_id: int) -> None:
         self.buffer.free(page_id)

@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, List, Optional, Tuple
 
 from repro.btree.node import BTreeEntry, BTreeNode, BTreeNodeStore
+from repro.storage.buffer import own
 
 #: A comparator over *encoded* keys: negative / zero / positive.
 Comparator = Callable[[bytes, bytes], int]
@@ -101,7 +102,7 @@ class BPlusTree:
         if len(key) > self.store.page_size // 4:
             raise ValueError("key too large for the configured page size")
         path = self._descend_to_leaf(key)
-        leaf = path[-1]
+        leaf = path[-1] = own(path[-1])
         index = self._bisect(leaf.entries, key, right=True)
         leaf.entries.insert(index, BTreeEntry(key, rowid=rowid, fragid=fragid))
         self.size += 1
@@ -123,7 +124,7 @@ class BPlusTree:
                 self.root_id = new_root.page_id
                 self.height += 1
                 return
-            parent = path[depth - 1]
+            parent = path[depth - 1] = own(path[depth - 1])
             index = self._bisect(parent.entries, promoted_key, right=True)
             parent.entries.insert(
                 index, BTreeEntry(promoted_key, child=sibling_id)
@@ -164,7 +165,8 @@ class BPlusTree:
                 if cmp > 0:
                     return False
                 if cmp == 0 and entry.rowid == rowid and entry.fragid == fragid:
-                    del entries[i]
+                    leaf = own(leaf)
+                    del leaf.entries[i]
                     self.store.write(leaf)
                     self.size -= 1
                     self._shrink_root()

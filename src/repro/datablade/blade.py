@@ -177,18 +177,16 @@ class GRTreeDataBlade(AccessMethodBlade):
         self._trace("create", 4, "no equivalent index exists")
 
     def option_spec(self):
-        """``node_cache`` sizes the decoded-node cache; ``specialize``
-        compiles specialized/vectorized kernels for the index (see
-        :mod:`repro.grtree.specialize`) -- off keeps the paper's literal
-        per-entry purpose-function call sequence."""
+        """``specialize`` compiles specialized/vectorized kernels for the
+        index (see :mod:`repro.grtree.specialize`) -- off keeps the
+        paper's literal per-entry purpose-function call sequence."""
         return {
             **super().option_spec(),
-            "node_cache": (self.server.node_cache_size, 0),
             "specialize": (self.server.specialize_indexes, 0),
         }
 
     def build(self, td, pools, meta, options, obs) -> Dict[str, Any]:
-        store = GRNodeStore(pools["blob"], node_cache_size=options["node_cache"])
+        store = GRNodeStore(pools["blob"])
         if meta is None:
             tree = GRTree.create(
                 store, self.server.clock, time_horizon=self.time_horizon
@@ -204,10 +202,8 @@ class GRTreeDataBlade(AccessMethodBlade):
             # invalidates the compiled code too.
             tree.spec = SpecializedOps()
         if obs is not None:
-            name = self._obs_name(td.index_name, "blob")
-            obs.attach("nodecache", name, store)
             if tree.spec is not None:
-                obs.attach("spec", name, tree.spec)
+                obs.attach("spec", self._obs_name(td.index_name, "blob"), tree.spec)
             tree.obs = obs
         return {"tree": tree, "store": store}
 

@@ -261,9 +261,16 @@ class AccessMethodBlade:
 
     def options(self, td: IndexDescriptor) -> Dict[str, Any]:
         given = td.parameters or {}
+        spec = self.option_spec()
+        unknown = sorted(set(given) - set(spec))
+        if unknown:
+            raise AccessMethodError(
+                f"{self.AM_NAME} does not accept WITH {', '.join(unknown)}; "
+                f"its keys are {', '.join(sorted(spec))}"
+            )
         return {
             name: parse_option(name, given.get(name, default), default, minimum)
-            for name, (default, minimum) in self.option_spec().items()
+            for name, (default, minimum) in spec.items()
         }
 
     def plan(self, td: IndexDescriptor, qualification) -> List[list]:

@@ -20,9 +20,9 @@ def register_grtree_blade(
 ) -> GRTreeDataBlade:
     """Install the GR-tree DataBlade into *server*; returns the blade.
 
-    Cache sizes come from the server-wide settings
-    (``DatabaseServer(buffer_capacity=..., node_cache_size=...)``) or a
-    ``CREATE INDEX ... WITH (...)`` clause; ``handle_cache=False``
+    The buffer pool size comes from the server-wide setting
+    (``DatabaseServer(buffer_capacity=...)``) or a ``CREATE INDEX ...
+    WITH (...)`` clause; ``handle_cache=False``
     restores the paper's literal behaviour of rebuilding the Tree object
     on every ``grt_open``.
     """

@@ -20,7 +20,7 @@ from repro.datablade.kit import AccessMethodBlade, load_root, save_root
 from repro.gist.extension import GistExtension
 from repro.gist.extensions import IntervalExtension, RectExtension
 from repro.gist.tree import GiST, GistNodeStore
-from repro.rblade.blade import BOX_TYPE_NAME, make_box_type
+from repro.rblade.blade import BOX_TYPE_NAME, register_box_type
 from repro.server.access_method import IndexDescriptor, SimpleQualification
 from repro.server.errors import AccessMethodError
 
@@ -134,10 +134,8 @@ class GistDataBlade(AccessMethodBlade):
 def register_gist_blade(server) -> GistDataBlade:
     """Install the generic GiST access method with its two shipped
     operator classes (rect and interval instantiations)."""
-    # The rect instantiation indexes Box columns; make the type available
-    # even when the R-tree blade is not installed.
-    if BOX_TYPE_NAME not in server.types:
-        server.types.register(make_box_type())
+    # The rect instantiation indexes Box columns.
+    register_box_type(server)
     blade = GistDataBlade(server).install()
     blade.register_extension("gist_rect_ops", RectExtension())
     blade.register_extension("gist_interval_ops", IntervalExtension())

@@ -68,7 +68,9 @@ class GistNodeStore:
         return GistNode(self.buffer.allocate(), leaf, level)
 
     def read(self, page_id: int) -> GistNode:
-        data = self.buffer.read(page_id)
+        return self.buffer.read_decoded(page_id, self._decode)
+
+    def _decode(self, page_id: int, data: bytes) -> GistNode:
         leaf, count, level = _NODE_HEADER.unpack_from(data, 0)
         offset = _NODE_HEADER.size
         node = GistNode(page_id, bool(leaf), level)
@@ -97,7 +99,7 @@ class GistNodeStore:
                 parts.append(_POINTER.pack(entry.rowid, entry.fragid))
             else:
                 parts.append(_POINTER.pack(entry.child, 0))
-        self.buffer.write(node.page_id, b"".join(parts))
+        self.buffer.write(node.page_id, b"".join(parts), node)
 
     def free(self, page_id: int) -> None:
         self.buffer.free(page_id)

@@ -1,4 +1,4 @@
-"""GR-tree node layout, page serialization, and the deserialized-node cache.
+"""GR-tree node layout and page serialization.
 
 The layout "does not differ significantly from the layout of an R*-tree
 node" (Section 3): a header plus an array of entries.  Each entry packs
@@ -6,30 +6,20 @@ the four timestamps (with ``UC``/``NOW`` encoded as a reserved sentinel),
 one flag byte carrying ``Rectangle`` and ``Hidden``, and the pointer
 (child page id, or rowid + fragid).
 
-Two read-path optimisations live here:
-
-* serialization uses a single reusable page-sized ``bytearray`` with
-  ``pack_into`` on writes and batched ``iter_unpack`` on reads, instead
-  of a per-entry pack + list-join;
-* :class:`GRNodeStore` keeps an LRU cache of *deserialized* nodes keyed
-  by page id, so warm reads skip struct unpacking entirely.  The cache
-  is write-through on :meth:`GRNodeStore.write`, drops entries on
-  :meth:`GRNodeStore.free` (condense frees pages through this path) and
-  on page-id recycling in :meth:`GRNodeStore.allocate`, and empties
-  itself when the underlying :class:`BufferPool` is invalidated (crash
-  simulation).  Logical/physical I/O is still accounted at the buffer:
-  a node-cache hit performs the same buffer read it always did -- only
-  the deserialization is skipped -- so ``IOStats`` and every I/O-count
-  benchmark are unaffected.
+Serialization uses a single reusable page-sized ``bytearray`` with
+``pack_into`` on writes and batched ``iter_unpack`` on reads, instead of
+a per-entry pack + list-join.  Decoded nodes are kept by the buffer pool
+(:meth:`~repro.storage.buffer.BufferPool.read_decoded`), so warm reads
+skip struct unpacking; a written node is installed as its frame's
+decoded form, column mirror and all.
 """
 
 from __future__ import annotations
 
 import struct
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import List
 
 from repro.grtree.entries import GREntry
 from repro.storage.buffer import BufferPool
@@ -44,9 +34,6 @@ _VARIABLE_SENTINEL = 2**62
 
 _FLAG_RECTANGLE = 0x01
 _FLAG_HIDDEN = 0x02
-
-#: Default size of the deserialized-node cache (nodes, not bytes).
-DEFAULT_NODE_CACHE_SIZE = 128
 
 
 @dataclass
@@ -67,198 +54,109 @@ class GRNode:
         return len(self.entries)
 
 
-class NodeCacheStats:
-    """Counters for the deserialized-node cache (pulled by ``repro.obs``)."""
-
-    __slots__ = ("hits", "misses", "evictions", "invalidations")
-
-    def __init__(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.invalidations = 0
-
-    def to_dict(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "invalidations": self.invalidations,
-        }
-
-
 class GRNodeStore:
-    """Persists GR-tree nodes through a buffer pool, one node per page.
+    """Persists GR-tree nodes through a buffer pool, one node per page."""
 
-    ``node_cache_size`` bounds the LRU cache of deserialized nodes;
-    ``0`` disables the cache (every read re-unpacks the page, the
-    pre-optimisation behaviour the benchmarks compare against).
-    """
-
-    def __init__(
-        self,
-        buffer: BufferPool,
-        node_cache_size: int = DEFAULT_NODE_CACHE_SIZE,
-    ) -> None:
-        if node_cache_size < 0:
-            raise ValueError("node cache size cannot be negative")
+    def __init__(self, buffer: BufferPool) -> None:
         self.buffer = buffer
         self.capacity = (buffer.store.page_size - _NODE_HEADER.size) // _ENTRY.size
         if self.capacity < 4:
             raise ValueError(
                 f"page size {buffer.store.page_size} too small for a GR-tree node"
             )
-        self.node_cache_size = node_cache_size
-        self.cache_stats = NodeCacheStats()
-        self._cache: "OrderedDict[int, GRNode]" = OrderedDict()
-        #: Serializes page I/O, the LRU bookkeeping, and the scratch
-        #: buffer: the serving layer's worker threads share one store per
-        #: open index, and an unguarded ``move_to_end`` racing a ``pop``
-        #: corrupts the OrderedDict.  Re-entrant because ``allocate`` may
-        #: recycle a page while a caller already holds the lock.
+        #: Serializes page I/O and the scratch buffer: the serving
+        #: layer's worker threads share one store per open index.
+        #: Re-entrant because ``allocate`` may recycle a page while a
+        #: caller already holds the lock.
         self._lock = threading.RLock()
-        buffer.add_invalidation_listener(self._drop_cache)
-        self._page_size = buffer.store.page_size
         # Reusable serialization scratch; only the prefix written by the
         # previous node needs re-zeroing before reuse.
-        self._scratch = bytearray(self._page_size)
+        self._scratch = bytearray(buffer.store.page_size)
         self._scratch_used = 0
-
-    # ------------------------------------------------------------------
-    # Node cache plumbing
-    # ------------------------------------------------------------------
-
-    @property
-    def cached_nodes(self) -> int:
-        with self._lock:
-            return len(self._cache)
-
-    def _drop_cache(self) -> None:
-        """Forget every cached node (buffer invalidation / crash sim)."""
-        with self._lock:
-            self.cache_stats.invalidations += len(self._cache)
-            self._cache.clear()
-
-    def _cache_put(self, page_id: int, node: GRNode) -> None:
-        cache = self._cache
-        cache[page_id] = node
-        cache.move_to_end(page_id)
-        if len(cache) > self.node_cache_size:
-            cache.popitem(last=False)
-            self.cache_stats.evictions += 1
-
-    # ------------------------------------------------------------------
-    # Page lifecycle
-    # ------------------------------------------------------------------
 
     def allocate(self, leaf: bool, level: int = 0) -> GRNode:
         with self._lock:
-            page_id = self.buffer.allocate()
-            # Freed ids recycle LIFO: a cached node for the page's previous
-            # incarnation must not shadow the fresh (empty) node.
-            if self._cache.pop(page_id, None) is not None:
-                self.cache_stats.invalidations += 1
-            return GRNode(page_id, leaf, level)
+            return GRNode(self.buffer.allocate(), leaf, level)
 
     def read(self, page_id: int) -> GRNode:
         with self._lock:
-            return self._read_locked(page_id)
-
-    def _read_locked(self, page_id: int) -> GRNode:
-        if self.node_cache_size:
-            node = self._cache.get(page_id)
-            if node is not None:
-                self._cache.move_to_end(page_id)
-                self.cache_stats.hits += 1
-                # Logical (and, on a pool miss, physical) I/O is still
-                # accounted at the buffer -- the node cache removes the
-                # deserialization, not the page access.
-                self.buffer.read(page_id)
-                return node
-            self.cache_stats.misses += 1
-        data = self.buffer.read(page_id)
-        leaf, count, level = _NODE_HEADER.unpack_from(data, 0)
-        end = _NODE_HEADER.size + count * _ENTRY.size
-        body = memoryview(data)[_NODE_HEADER.size : end]
-        entries: List[GREntry] = []
-        append = entries.append
-        if leaf:
-            for ttb, tte, vtb, vte, flags, ptr_a, ptr_b in _ENTRY.iter_unpack(body):
-                append(
-                    GREntry(
-                        ttb,
-                        UC if tte == _VARIABLE_SENTINEL else tte,
-                        vtb,
-                        NOW if vte == _VARIABLE_SENTINEL else vte,
-                        bool(flags & _FLAG_RECTANGLE),
-                        bool(flags & _FLAG_HIDDEN),
-                        None,
-                        ptr_a,
-                        ptr_b,
-                    )
-                )
-        else:
-            for ttb, tte, vtb, vte, flags, ptr_a, _ptr_b in _ENTRY.iter_unpack(body):
-                append(
-                    GREntry(
-                        ttb,
-                        UC if tte == _VARIABLE_SENTINEL else tte,
-                        vtb,
-                        NOW if vte == _VARIABLE_SENTINEL else vte,
-                        bool(flags & _FLAG_RECTANGLE),
-                        bool(flags & _FLAG_HIDDEN),
-                        ptr_a,
-                    )
-                )
-        node = GRNode(page_id, bool(leaf), level, entries)
-        if self.node_cache_size:
-            self._cache_put(page_id, node)
-        return node
+            return self.buffer.read_decoded(page_id, _decode)
 
     def write(self, node: GRNode) -> None:
         with self._lock:
-            self._write_locked(node)
-
-    def _write_locked(self, node: GRNode) -> None:
-        node.cols = None  # entry timestamps changed: column mirror is stale
-        entries = node.entries
-        if len(entries) > self.capacity:
-            raise ValueError(
-                f"node overflow: {len(entries)} entries > capacity "
-                f"{self.capacity}"
-            )
-        buf = self._scratch
-        _NODE_HEADER.pack_into(buf, 0, node.leaf, len(entries), node.level)
-        offset = _NODE_HEADER.size
-        pack_into = _ENTRY.pack_into
-        size = _ENTRY.size
-        leaf = node.leaf
-        for entry in entries:
-            flags = (_FLAG_RECTANGLE if entry.rectangle else 0) | (
-                _FLAG_HIDDEN if entry.hidden else 0
-            )
-            tte = entry.tt_end if is_ground(entry.tt_end) else _VARIABLE_SENTINEL
-            vte = entry.vt_end if is_ground(entry.vt_end) else _VARIABLE_SENTINEL
-            if leaf:
-                ptr_a, ptr_b = entry.rowid, entry.fragid
-            else:
-                ptr_a, ptr_b = entry.child, 0
-            pack_into(
-                buf, offset,
-                entry.tt_begin, tte, entry.vt_begin, vte, flags, ptr_a, ptr_b,
-            )
-            offset += size
-        if offset < self._scratch_used:
-            # Zero the residue of a previously larger node so pages stay
-            # byte-deterministic (snapshot/diff tests rely on it).
-            buf[offset : self._scratch_used] = bytes(self._scratch_used - offset)
-        self._scratch_used = offset
-        self.buffer.write(node.page_id, bytes(buf))
-        if self.node_cache_size:
-            self._cache_put(node.page_id, node)
+            node.cols = None  # entry timestamps changed: column mirror is stale
+            entries = node.entries
+            if len(entries) > self.capacity:
+                raise ValueError(
+                    f"node overflow: {len(entries)} entries > capacity "
+                    f"{self.capacity}"
+                )
+            buf = self._scratch
+            _NODE_HEADER.pack_into(buf, 0, node.leaf, len(entries), node.level)
+            offset = _NODE_HEADER.size
+            pack_into = _ENTRY.pack_into
+            size = _ENTRY.size
+            leaf = node.leaf
+            for entry in entries:
+                flags = (_FLAG_RECTANGLE if entry.rectangle else 0) | (
+                    _FLAG_HIDDEN if entry.hidden else 0
+                )
+                tte = entry.tt_end if is_ground(entry.tt_end) else _VARIABLE_SENTINEL
+                vte = entry.vt_end if is_ground(entry.vt_end) else _VARIABLE_SENTINEL
+                if leaf:
+                    ptr_a, ptr_b = entry.rowid, entry.fragid
+                else:
+                    ptr_a, ptr_b = entry.child, 0
+                pack_into(
+                    buf, offset,
+                    entry.tt_begin, tte, entry.vt_begin, vte, flags, ptr_a, ptr_b,
+                )
+                offset += size
+            if offset < self._scratch_used:
+                # Zero the residue of a previously larger node so pages stay
+                # byte-deterministic (snapshot/diff tests rely on it).
+                buf[offset : self._scratch_used] = bytes(self._scratch_used - offset)
+            self._scratch_used = offset
+            self.buffer.write(node.page_id, bytes(buf), node)
 
     def free(self, page_id: int) -> None:
         with self._lock:
-            if self._cache.pop(page_id, None) is not None:
-                self.cache_stats.invalidations += 1
             self.buffer.free(page_id)
+
+
+def _decode(page_id: int, data: bytes) -> GRNode:
+    leaf, count, level = _NODE_HEADER.unpack_from(data, 0)
+    end = _NODE_HEADER.size + count * _ENTRY.size
+    body = memoryview(data)[_NODE_HEADER.size : end]
+    entries: List[GREntry] = []
+    append = entries.append
+    if leaf:
+        for ttb, tte, vtb, vte, flags, ptr_a, ptr_b in _ENTRY.iter_unpack(body):
+            append(
+                GREntry(
+                    ttb,
+                    UC if tte == _VARIABLE_SENTINEL else tte,
+                    vtb,
+                    NOW if vte == _VARIABLE_SENTINEL else vte,
+                    bool(flags & _FLAG_RECTANGLE),
+                    bool(flags & _FLAG_HIDDEN),
+                    None,
+                    ptr_a,
+                    ptr_b,
+                )
+            )
+    else:
+        for ttb, tte, vtb, vte, flags, ptr_a, _ptr_b in _ENTRY.iter_unpack(body):
+            append(
+                GREntry(
+                    ttb,
+                    UC if tte == _VARIABLE_SENTINEL else tte,
+                    vtb,
+                    NOW if vte == _VARIABLE_SENTINEL else vte,
+                    bool(flags & _FLAG_RECTANGLE),
+                    bool(flags & _FLAG_HIDDEN),
+                    ptr_a,
+                )
+            )
+    return GRNode(page_id, bool(leaf), level, entries)
+

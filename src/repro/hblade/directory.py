@@ -203,16 +203,9 @@ class HashDirectory:
     def _read_bucket(
         self, page_id: int
     ) -> Tuple[List[Tuple[bytes, int, int]], int]:
-        data = self.pool.read(page_id)
-        count, overflow = _BUCKET_HEADER.unpack_from(data, 0)
-        entries: List[Tuple[bytes, int, int]] = []
-        offset = _BUCKET_HEADER.size
-        for _ in range(count):
-            key_len, rowid, fragid = _ENTRY_FIXED.unpack_from(data, offset)
-            offset += _ENTRY_FIXED.size
-            entries.append((bytes(data[offset : offset + key_len]), rowid, fragid))
-            offset += key_len
-        return entries, overflow
+        """A bucket page's (entries, overflow page id), shared with other
+        readers: a path that changes the entries copies the list first."""
+        return self.pool.read_decoded(page_id, _decode_bucket)
 
     def _write_bucket(
         self, page_id: int, entries: List[Tuple[bytes, int, int]], overflow: int
@@ -225,7 +218,7 @@ class HashDirectory:
             offset += _ENTRY_FIXED.size
             data[offset : offset + len(key)] = key
             offset += len(key)
-        self.pool.write(page_id, bytes(data))
+        self.pool.write(page_id, bytes(data), (entries, overflow))
 
     def _entry_size(self, key: bytes) -> int:
         return _ENTRY_FIXED.size + len(key)
@@ -259,6 +252,7 @@ class HashDirectory:
         page_id = self._bucket_for(key)
         while True:
             entries, overflow = self._read_bucket(page_id)
+            entries = list(entries)
             if (
                 self._bucket_bytes(entries) + self._entry_size(key)
                 <= self.page_size
@@ -287,7 +281,7 @@ class HashDirectory:
                     and entry_rowid == rowid
                     and entry_fragid == fragid
                 ):
-                    del entries[index]
+                    entries = entries[:index] + entries[index + 1 :]
                     self._write_bucket(page_id, entries, overflow)
                     self.size -= 1
                     self.dirty = True
@@ -393,3 +387,17 @@ class HashDirectory:
             "size": self.size,
             "rehashes": self.rehashes,
         }
+
+
+def _decode_bucket(
+    page_id: int, data: bytes
+) -> Tuple[List[Tuple[bytes, int, int]], int]:
+    count, overflow = _BUCKET_HEADER.unpack_from(data, 0)
+    entries: List[Tuple[bytes, int, int]] = []
+    offset = _BUCKET_HEADER.size
+    for _ in range(count):
+        key_len, rowid, fragid = _ENTRY_FIXED.unpack_from(data, offset)
+        offset += _ENTRY_FIXED.size
+        entries.append((bytes(data[offset : offset + key_len]), rowid, fragid))
+        offset += key_len
+    return entries, overflow

@@ -74,6 +74,8 @@ def _pool_values(pool) -> Dict[str, float]:
         "physical_reads": stats.physical_reads,
         "logical_writes": stats.logical_writes,
         "physical_writes": stats.physical_writes,
+        "decodes": pool.decodes,
+        "decode_hits": pool.decode_hits,
         "resident_pages": pool.resident_pages,
     }
 
@@ -83,14 +85,6 @@ def _pool_values(pool) -> Dict[str, float]:
 #: rest are counters, carried across an index reopen).
 ATTACHMENTS: Dict[str, Tuple[Callable[[Any], Dict[str, float]], Tuple[str, ...]]] = {
     "buffer": (_pool_values, ("resident_pages",)),
-    "nodecache": (
-        lambda store: {
-            **store.cache_stats.to_dict(),
-            "cached_nodes": store.cached_nodes,
-            "size": store.node_cache_size,
-        },
-        ("cached_nodes", "size"),
-    ),
     "spec": (
         lambda spec: {**spec.stats.to_dict(), "vectorized": int(spec.vectorized)},
         ("vectorized",),
@@ -101,7 +95,7 @@ ATTACHMENTS: Dict[str, Tuple[Callable[[Any], Dict[str, float]], Tuple[str, ...]]
 #: report order.  A titled prefix is printed as one ``name value`` line
 #: under its title; the others have a section of their own.
 SECTIONS = (
-    ("buffer.", None), ("nodecache.", None), ("spec.", None), ("locks.", None),
+    ("buffer.", None), ("spec.", None), ("locks.", None),
     ("net.", "serving"), ("hblade.", "hybrid"), ("repl.", "replication"),
     ("wal.", None), ("sbspace.", None), ("faults.", None),
 )
@@ -147,7 +141,6 @@ class Observability:
             kind: {} for kind in ATTACHMENTS
         }
         self.pools = self.attached["buffer"]
-        self.node_caches = self.attached["nodecache"]
         #: Fault-injection registry, when one is attached (``SET FAULT``).
         self.faults_registry = None
 
@@ -187,8 +180,8 @@ class Observability:
     # ------------------------------------------------------------------
 
     def attach(self, kind: str, name: str, source) -> None:
-        """Export an index's buffer pool (*kind* ``buffer``), node cache
-        (``nodecache``) or specializer (``spec``) as ``<kind>.<name>.*``;
+        """Export an index's buffer pool (*kind* ``buffer``) or
+        specializer (``spec``) as ``<kind>.<name>.*``;
         a *source* of ``None`` detaches the name (DROP INDEX).
 
         Attaching a different object under an existing name (an index
@@ -309,7 +302,7 @@ class Observability:
             header = (
                 f"{'pool':<24} {'lreads':>8} {'preads':>8} "
                 f"{'lwrites':>8} {'pwrites':>8} {'hit%':>7} {'resident':>9} "
-                f"{'frames':>7}"
+                f"{'frames':>7} {'decodes':>8} {'dhits':>8}"
             )
             lines.append(header)
             for name in sorted(self.pools):
@@ -320,7 +313,8 @@ class Observability:
                     f"{stats['physical_writes']:>8} "
                     f"{_hit_ratio(stats) * 100:>6.1f}% "
                     f"{stats['resident_pages']:>9} "
-                    f"{self.pools[name].capacity:>7}"
+                    f"{self.pools[name].capacity:>7} "
+                    f"{stats['decodes']:>8} {stats['decode_hits']:>8}"
                 )
             totals = self.buffer_totals()
             lines.append(
@@ -332,22 +326,6 @@ class Observability:
             lines.append(f"buffer hit ratio: {totals['hit_ratio']:.4f}")
         else:
             lines.append("(no buffer pools attached)")
-
-        if self.node_caches:
-            lines.append("")
-            section("node caches")
-            header = (
-                f"{'cache':<24} {'hits':>8} {'misses':>8} "
-                f"{'evicts':>8} {'invals':>8} {'cached':>7} {'size':>6}"
-            )
-            lines.append(header)
-            for name in sorted(self.node_caches):
-                stats = self.counters("nodecache", name)
-                lines.append(
-                    f"{name:<24} {stats['hits']:>8} {stats['misses']:>8} "
-                    f"{stats['evictions']:>8} {stats['invalidations']:>8} "
-                    f"{stats['cached_nodes']:>7} {stats['size']:>6}"
-                )
 
         if self.attached["spec"]:
             lines.append("")

@@ -15,7 +15,7 @@ Mapping rules:
   convention), gauges as ``repro_<name>``;
 * collector-pulled values are monotonically increasing in this codebase
   except for the obvious gauges (``held_resources``, ``resident_pages``,
-  ``cached_nodes``, ``size``, ``active``), which export as gauges;
+  ``size``, ``active``), which export as gauges;
 * histograms export the full cumulative bucket series plus ``_sum`` and
   ``_count``, with the conventional ``+Inf`` terminal bucket;
 * metric names are sanitized (``[^a-zA-Z0-9_]`` -> ``_``) since the
@@ -39,7 +39,6 @@ _NAME_SANITIZE = re.compile(r"[^a-zA-Z0-9_]")
 _GAUGE_SUFFIXES = (
     "held_resources",
     "resident_pages",
-    "cached_nodes",
     "size",
     "active",
     "hit_ratio",

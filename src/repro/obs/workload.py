@@ -17,7 +17,7 @@ fail to parse.
 Per fingerprint the model keeps rolling statistics fed from completed
 root spans: execution counts, a fixed-bucket latency histogram (p50/p95/
 p99 via :meth:`~repro.obs.metrics.Histogram.quantile`), rows returned,
-pages read/written, node-cache hit ratio, and lock wait/conflict
+pages read/written, decoded-page hit ratio, and lock wait/conflict
 traffic.  ``SHOW WORKLOAD`` renders the model; ``WorkloadModel.to_dict``
 is the machine-readable form a replica tuner consumes.
 """
@@ -156,9 +156,9 @@ class WorkloadModel:
         """Fold one completed statement into the model.
 
         ``deltas`` is the root span's metric-delta map; buffer-pool and
-        sbspace reads/writes, node-cache traffic (``nodecache.*``), and
-        lock counters are extracted from it by suffix, so new pools and
-        caches are counted without this module knowing their names.
+        sbspace reads/writes, the pools' decoded-page hits and decodes,
+        and lock counters are extracted from it by suffix, so new pools
+        are counted without this module knowing their names.
         """
         fp = fingerprint(sql)
         with self._lock:
@@ -190,13 +190,10 @@ class WorkloadModel:
                         stats.pages_read += value
                     elif key.endswith(".logical_writes"):
                         stats.pages_written += value
-                    # Node caches only: failpoints and the statement
-                    # cache count ``.hits`` too.
-                    elif key.startswith("nodecache."):
-                        if key.endswith(".hits"):
-                            stats.cache_hits += value
-                        elif key.endswith(".misses"):
-                            stats.cache_misses += value
+                    elif key.endswith(".decode_hits"):
+                        stats.cache_hits += value
+                    elif key.endswith(".decodes"):
+                        stats.cache_misses += value
                 stats.lock_waits += deltas.get("locks.conflicts", 0)
                 stats.lock_wait_seconds += deltas.get("locks.wait_seconds", 0)
             return stats

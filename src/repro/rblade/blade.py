@@ -58,6 +58,13 @@ def make_box_type() -> OpaqueType:
     )
 
 
+def register_box_type(server) -> None:
+    """Make the Box type available; the R-tree and GiST blades both
+    index it, so whichever is installed second finds it there."""
+    if BOX_TYPE_NAME not in server.types:
+        server.types.register(make_box_type())
+
+
 #: Strategy semantics: leaf test + internal pruning test, as callables on
 #: (entry_rect, query_rect).
 _STRATEGIES: Dict[str, Tuple[Callable, Callable]] = {
@@ -188,5 +195,5 @@ class RTreeDataBlade(AccessMethodBlade):
 
 def register_rtree_blade(server) -> RTreeDataBlade:
     """Install the R-tree DataBlade into *server*."""
-    server.types.register(make_box_type())
+    register_box_type(server)
     return RTreeDataBlade(server).install()

@@ -77,7 +77,9 @@ class NodeStore:
         return Node(self.buffer.allocate(), leaf, level)
 
     def read(self, page_id: int) -> Node:
-        data = self.buffer.read(page_id)
+        return self.buffer.read_decoded(page_id, self._decode)
+
+    def _decode(self, page_id: int, data: bytes) -> Node:
         leaf, count, level = _NODE_HEADER.unpack_from(data, 0)
         offset = _NODE_HEADER.size
         entries: List[Entry] = []
@@ -106,7 +108,7 @@ class NodeStore:
                 parts.append(_POINTER.pack(entry.rowid, entry.fragid))
             else:
                 parts.append(_POINTER.pack(entry.child, 0))
-        self.buffer.write(node.page_id, b"".join(parts))
+        self.buffer.write(node.page_id, b"".join(parts), node)
 
     def free(self, page_id: int) -> None:
         self.buffer.free(page_id)

@@ -44,6 +44,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.rtree.geometry import Rect, union_all
 from repro.rtree.node import Entry, Node, NodeStore
+from repro.storage.buffer import own
 
 
 class TreeInvariantError(AssertionError):
@@ -187,14 +188,15 @@ class RStarTree:
         self._propagate_up(path)
 
     def _choose_path(self, entry, target_level: int) -> list:
-        """Read the root-to-target-level path chosen for *entry* (CS1-CS3)."""
+        """Read the root-to-target-level path chosen for *entry* (CS1-CS3),
+        as copies the caller may change."""
         path = [self.store.read(self.root_id)]
         key = self._keys([entry])[0]
         while path[-1].level > target_level:
             node = path[-1]
             index = self._choose_subtree(node, key)
             path.append(self.store.read(node.entries[index].child))
-        return path
+        return [own(node) for node in path]
 
     def _choose_subtree(self, node, key) -> int:
         """R* ChooseSubtree: overlap-driven just above the leaves."""
@@ -356,8 +358,8 @@ class RStarTree:
         )
         if found is None:
             return False
-        path, index = found
-        del path[-1].entries[index]
+        path = [own(node) for node in found[0]]
+        del path[-1].entries[found[1]]
         self.size -= 1
         self._condense(path)
         self._shrink_root()

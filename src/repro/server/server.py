@@ -45,17 +45,15 @@ class DatabaseServer:
         granularity: Granularity = Granularity.DAY,
         page_size: int = 2048,
         buffer_capacity: int = 64,
-        node_cache_size: int = 128,
         statement_cache_size: int = 64,
         specialize_indexes: bool = True,
         faults=None,
     ) -> None:
         self.clock = clock if clock is not None else Clock(granularity=granularity)
         self.page_size = page_size
-        #: Server-wide defaults for per-index caches; ``CREATE INDEX ...
-        #: WITH (buffer_capacity = N, node_cache = M)`` overrides them.
+        #: Server-wide default for per-index buffer pools; ``CREATE INDEX
+        #: ... WITH (buffer_capacity = N)`` overrides it.
         self.buffer_capacity = buffer_capacity
-        self.node_cache_size = node_cache_size
         #: Parsed-statement cache bound (0 disables caching).
         self.statement_cache_size = statement_cache_size
         #: Default for per-index specialized/vectorized kernels; a

@@ -145,7 +145,7 @@ class CreateIndex:
     am_name: Optional[str]
     space: Optional[str]
     #: ``WITH (key = value, ...)`` tuning parameters, e.g. the per-index
-    #: ``buffer_capacity`` and ``node_cache`` sizes.
+    #: ``buffer_capacity``.
     parameters: Dict[str, Any] = field(default_factory=dict)
 
 

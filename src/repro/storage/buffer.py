@@ -1,15 +1,17 @@
-"""A buffer pool with LRU replacement and I/O accounting.
+"""A buffer pool with LRU replacement, I/O accounting and decoded pages.
 
 Every index structure in the reproduction performs its page traffic
 through a :class:`BufferPool`, so the benchmarks can report I/O counts
 (the currency of the GR-tree evaluation) rather than wall-clock noise.
+It is also the one cache of decoded nodes: a structure supplies a codec
+and reads through :meth:`BufferPool.read_decoded`.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Callable
 
 from repro.storage.pages import PageStore
 
@@ -75,8 +77,36 @@ class IOStats:
         return diff
 
 
+def own(node):
+    """A copy of a shared decoded *node* with its own ``entries`` list:
+    what a path takes before it changes the node (see :class:`BufferPool`).
+    A shallow copy by hand: ``copy.copy`` takes about 2.5 times as long."""
+    mine = object.__new__(type(node))
+    mine.__dict__.update(node.__dict__, entries=list(node.entries))
+    return mine
+
+
 class BufferPool:
-    """Write-back LRU cache of pages over a :class:`PageStore`."""
+    """Write-back LRU cache of pages over a :class:`PageStore`.
+
+    A frame also keeps its page's decoded form.  :meth:`read_decoded`
+    returns ``decode(page_id, data)`` and decodes a page at most once for
+    each time its bytes are loaded or written: the object lives in the
+    frame, so :meth:`write`, :meth:`allocate`, :meth:`free`, eviction and
+    :meth:`invalidate`, which replace or drop the frame, take it with
+    them, and the pool's capacity bounds the cache.  Every call is one
+    logical read, as with :meth:`read`.
+
+    The contract for every structure that reads through it:
+
+    * searches share the frame's decoded object and never change it;
+    * a path that changes a node first takes a copy with its own
+      ``entries`` list (:func:`own`), so a change that raises before its
+      write leaves what later reads see equal to the page bytes;
+    * ``write(page_id, data, decoded)`` installs *decoded*, the node just
+      encoded into *data*, as the frame's object; the writer leaves it
+      alone afterwards.
+    """
 
     def __init__(self, store: PageStore, capacity: int = 64, faults=None) -> None:
         if capacity < 1:
@@ -86,37 +116,47 @@ class BufferPool:
         #: Optional :class:`repro.faults.FaultRegistry`.
         self.faults = faults
         self.stats = IOStats()
-        # page_id -> (data, dirty); insertion order == recency order.
-        self._frames: "OrderedDict[int, tuple[bytes, bool]]" = OrderedDict()
-        # Caches layered above the pool (deserialized-node caches) register
-        # here so a wholesale drop of the frames also drops their state.
-        self._invalidation_listeners: list = []
-
-    def add_invalidation_listener(self, listener) -> None:
-        """Call *listener* whenever :meth:`invalidate` drops all frames."""
-        self._invalidation_listeners.append(listener)
+        #: :meth:`read_decoded` calls served by a frame's decoded object,
+        #: and calls that had to decode.
+        self.decode_hits = 0
+        self.decodes = 0
+        # page_id -> (data, dirty, decoded or None); insertion order ==
+        # recency order.
+        self._frames: "OrderedDict[int, tuple]" = OrderedDict()
 
     # ------------------------------------------------------------------
 
     def read(self, page_id: int) -> bytes:
         """Fetch a page, through the cache."""
         self.stats.logical_reads += 1
-        if page_id in self._frames:
-            data, dirty = self._frames.pop(page_id)
-            self._frames[page_id] = (data, dirty)
-            return data
+        frame = self._frames.get(page_id)
+        if frame is not None:
+            self._frames.move_to_end(page_id)
+            return frame[0]
         data = self.store.read_page(page_id)
         self.stats.physical_reads += 1
-        self._admit(page_id, data, dirty=False)
+        self._admit(page_id, data, False, None)
         return data
 
-    def write(self, page_id: int, data: bytes) -> None:
-        """Stage a page write; flushed on eviction or :meth:`flush`."""
+    def read_decoded(self, page_id: int, decode: Callable[[int, bytes], Any]) -> Any:
+        """The page decoded by *decode*, shared with every other reader."""
+        data = self.read(page_id)  # resident now, at the recent end
+        _, dirty, decoded = self._frames[page_id]
+        if decoded is None:
+            decoded = decode(page_id, data)
+            self.decodes += 1
+            self._frames[page_id] = (data, dirty, decoded)
+        else:
+            self.decode_hits += 1
+        return decoded
+
+    def write(self, page_id: int, data: bytes, decoded: Any = None) -> None:
+        """Stage a page write; flushed on eviction or :meth:`flush`.
+        *decoded*, if given, is what :meth:`read_decoded` returns for it."""
         data = self.store._check_data(data)
         self.stats.logical_writes += 1
-        if page_id in self._frames:
-            self._frames.pop(page_id)
-        self._admit(page_id, data, dirty=True)
+        self._frames.pop(page_id, None)
+        self._admit(page_id, data, True, decoded)
 
     def allocate(self) -> int:
         page_id = self.store.allocate_page()
@@ -134,24 +174,22 @@ class BufferPool:
         """Write back every dirty frame (keeps frames resident)."""
         if self.faults is not None:
             self.faults.hit("buffer.flush")
-        for page_id, (data, dirty) in list(self._frames.items()):
+        for page_id, (data, dirty, decoded) in list(self._frames.items()):
             if dirty:
                 self.store.write_page(page_id, data)
                 self.stats.physical_writes += 1
-                self._frames[page_id] = (data, False)
+                self._frames[page_id] = (data, False, decoded)
 
     def invalidate(self) -> None:
         """Drop all frames without writing back (crash simulation)."""
         self._frames.clear()
-        for listener in self._invalidation_listeners:
-            listener()
 
     # ------------------------------------------------------------------
 
-    def _admit(self, page_id: int, data: bytes, dirty: bool) -> None:
-        self._frames[page_id] = (data, dirty)
+    def _admit(self, page_id: int, data: bytes, dirty: bool, decoded: Any) -> None:
+        self._frames[page_id] = (data, dirty, decoded)
         while len(self._frames) > self.capacity:
-            victim_id, (victim, victim_dirty) = self._frames.popitem(last=False)
+            victim_id, (victim, victim_dirty, _) = self._frames.popitem(last=False)
             if victim_dirty:
                 self.store.write_page(victim_id, victim)
                 self.stats.physical_writes += 1

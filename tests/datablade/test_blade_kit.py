@@ -71,6 +71,8 @@ ABSURD = [
 ] + [
     ("grtree_am", "node_cache = 'x'"),
     ("grtree_am", "node_cache = -1"),
+    ("grtree_am", "node_cache = 16"),
+    ("grtree_am", "no_such_key = 1"),
     ("grtree_am", "specialize = 'maybe'"),
     ("hblade_am", "split_threshold = 'x'"),
     ("hblade_am", "buckets = 0"),
@@ -126,3 +128,15 @@ def test_drop_index_detaches_its_observability(am):
         if pool in index_pools(server):
             for key in ("logical_reads", "logical_writes"):
                 assert snapshot[f"buffer.{name}.{key}"] == getattr(pool.stats, key)
+
+
+def test_unknown_with_key_names_the_accepted_keys():
+    server = make_server("grtree_am")
+    with pytest.raises(
+        AccessMethodError,
+        match=r"grtree_am does not accept WITH node_cache; "
+        r"its keys are buffer_capacity, specialize",
+    ):
+        server.execute(
+            "CREATE INDEX i ON t(c) USING grtree_am IN spc WITH (node_cache = 16)"
+        )

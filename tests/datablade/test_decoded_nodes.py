@@ -1,10 +1,10 @@
 """Decoded B+-tree nodes stay coherent with the pages under them.
 
-:class:`~repro.btree.node.BTreeNodeStore` hands out a copy of a node it
-decoded before as long as the buffer pool returns the same page-bytes
-object.  Each test changes the bytes under a store in one of the ways
-that happen in this engine, then checks that what is read afterwards is
-the new state:
+The buffer pool keeps each resident page's decoded node and hands the
+same object to every reader; a path that changes a node changes a copy
+(:func:`~repro.storage.buffer.own`).  Each test changes the bytes under
+a B+-tree or hybrid index in one of the ways that happen in this engine,
+then checks that what is read afterwards is the new state:
 
 * a freed page id that gets recycled;
 * ``BufferPool.invalidate()`` (a crash drops unflushed frames);
@@ -15,7 +15,9 @@ the new state:
   rolled back.
 
 Through SQL, answers must equal a seqscan's over an unindexed table that
-holds the committed rows, and ``CHECK INDEX`` must be clean.
+holds the committed rows, and ``CHECK INDEX`` must be clean.  The
+store-level cases for all five structures, and ``ROLLBACK WORK`` for all
+five access methods, are in ``tests/storage/test_decoded_pages.py``.
 """
 
 import random
@@ -29,7 +31,7 @@ from repro.faults import FaultInjected
 from repro.hblade import register_hybrid_blade
 from repro.server import DatabaseServer
 from repro.server.optimizer import IndexScanPlan, SeqScanPlan
-from repro.storage.buffer import BufferPool
+from repro.storage.buffer import BufferPool, own
 from repro.storage.pages import InMemoryPageStore
 
 
@@ -52,13 +54,16 @@ def keys(node) -> list:
 
 
 def test_reads_hand_out_independent_entry_lists():
+    """Reads share one decoded node; a writer's copy has its own list."""
     store = BTreeNodeStore(BufferPool(InMemoryPageStore(page_size=256)))
     node = store.allocate(leaf=True)
     node.entries = [BTreeEntry(key(i), rowid=i) for i in range(3)]
     store.write(node)
     first, second = store.read(node.page_id), store.read(node.page_id)
-    first.entries.append(BTreeEntry(key(9), rowid=9))
-    del first.entries[0]
+    assert first is second
+    mine = own(first)
+    mine.entries.append(BTreeEntry(key(9), rowid=9))
+    del mine.entries[0]
     assert keys(second) == keys(store.read(node.page_id)) == [0, 1, 2]
 
 

@@ -66,8 +66,8 @@ CRASHED = "crashed"
 class CrashHarness:
     """One engine instance plus the oracle of what must survive a crash.
 
-    Small per-index caches (``buffer_capacity=8, node_cache=8``) keep the
-    buffer pool churning so page-level failpoints are traversed often.
+    A small per-index pool (``buffer_capacity=8``) keeps the buffer pool
+    churning so page-level failpoints are traversed often.
     """
 
     def __init__(
@@ -85,7 +85,7 @@ class CrashHarness:
         self.server.execute("CREATE TABLE t (name LVARCHAR, te GRT_TimeExtent_t)")
         self.server.execute(
             "CREATE INDEX gi ON t(te) USING grtree_am IN spc "
-            "WITH (buffer_capacity = 8, node_cache = 8, "
+            "WITH (buffer_capacity = 8, "
             f"specialize = '{'on' if specialize else 'off'}')"
         )
         self.server.prefer_virtual_index = True

@@ -1,17 +1,17 @@
-"""The deserialized-node cache: coherence, invalidation, and cursors.
+"""GR-tree nodes decoded in the buffer pool: coherence and cursors.
 
-The cache must be invisible except for speed: every scenario here runs
-the same workload with the cache on and off (or against an oracle) and
-demands identical results, including the hard cases -- condense under an
+The pool keeps each resident page's decoded node
+(:meth:`~repro.storage.buffer.BufferPool.read_decoded`); that must be
+invisible except for speed.  Every scenario here demands the answers and
+I/O of the page bytes, including the hard cases -- condense under an
 open cursor, crash-style buffer invalidation, page-id recycling after a
-condense, and LRU eviction pressure.
+condense, and eviction pressure.  The same cases for all five structures
+are in ``tests/storage/test_decoded_pages.py``.
 """
 
 import random
 
-import pytest
-
-from repro.grtree.node import GRNodeStore
+from repro.grtree.node import GRNodeStore, _decode
 from repro.grtree.tree import GRTree
 from repro.storage.buffer import BufferPool
 from repro.storage.pages import InMemoryPageStore
@@ -20,10 +20,17 @@ from repro.temporal.extent import TimeExtent
 from repro.temporal.variables import NOW, UC
 
 
-def make_tree(node_cache_size=128, page_size=512, now=100, capacity=64):
+class DecodeEveryRead(GRNodeStore):
+    """A store that decodes the page bytes on every read."""
+
+    def read(self, page_id):
+        return _decode(page_id, self.buffer.read(page_id))
+
+
+def make_tree(page_size=512, now=100, capacity=64, store_class=GRNodeStore):
     clock = Clock(now=now)
     pool = BufferPool(InMemoryPageStore(page_size=page_size), capacity=capacity)
-    store = GRNodeStore(pool, node_cache_size=node_cache_size)
+    store = store_class(pool)
     return GRTree.create(store, clock), clock, pool, store
 
 
@@ -39,57 +46,44 @@ class TestCacheCounters:
         tree, clock, pool, store = make_tree()
         for i in range(200):
             tree.insert(extent(90 - (i % 7)), rowid=i)
-        store.cache_stats.hits = store.cache_stats.misses = 0
+        pool.decode_hits = pool.decodes = 0
         first = tree.search_all(QUERY)
         second = tree.search_all(QUERY)
         assert first == second
         assert len(first) == 200
-        # The tree was just built writing through the cache, so the
-        # whole traversal is warm: no misses, plenty of hits.
-        assert store.cache_stats.misses == 0
-        assert store.cache_stats.hits > 0
-
-    def test_disabled_cache_never_counts(self):
-        tree, clock, pool, store = make_tree(node_cache_size=0)
-        for i in range(50):
-            tree.insert(extent(90), rowid=i)
-        tree.search_all(QUERY)
-        assert store.cached_nodes == 0
-        assert store.cache_stats.hits == 0
-        assert store.cache_stats.misses == 0
-
-    def test_negative_cache_size_rejected(self):
-        pool = BufferPool(InMemoryPageStore(page_size=512))
-        with pytest.raises(ValueError):
-            GRNodeStore(pool, node_cache_size=-1)
+        # The tree fits the pool and every write installed its node, so
+        # the whole traversal is warm: no decodes, plenty of hits.
+        assert pool.decodes == 0
+        assert pool.decode_hits > 0
 
     def test_eviction_respects_bound(self):
-        tree, clock, pool, store = make_tree(node_cache_size=2)
+        tree, clock, pool, store = make_tree(capacity=2)
         for i in range(300):
             tree.insert(extent(90 - (i % 11)), rowid=i)
-        assert store.cached_nodes <= 2
-        assert store.cache_stats.evictions > 0
-        # Correctness under heavy eviction: results match the cache-off
-        # twin built from the same inserts.
-        twin, _, _, _ = make_tree(node_cache_size=0)
+        assert pool.resident_pages <= 2
+        assert pool.decodes > 0
+        # Correctness under heavy eviction: results match a twin whose
+        # pool holds the whole tree.
+        twin, _, _, _ = make_tree()
         for i in range(300):
             twin.insert(extent(90 - (i % 11)), rowid=i)
         assert tree.search_all(QUERY) == twin.search_all(QUERY)
         tree.check()
 
     def test_io_stats_identical_with_and_without_cache(self):
-        """The node cache removes deserialization, not page accesses:
-        logical/physical read counts must be byte-identical."""
+        """Decoded nodes remove deserialization, not page accesses:
+        logical/physical read counts must be identical to a store that
+        decodes every read."""
         runs = {}
-        for size in (0, 128):
-            tree, clock, pool, store = make_tree(node_cache_size=size, capacity=8)
+        for store_class in (DecodeEveryRead, GRNodeStore):
+            tree, clock, pool, store = make_tree(capacity=8, store_class=store_class)
             rng = random.Random(7)
             for i in range(250):
                 tree.insert(extent(60 + rng.randint(0, 40)), rowid=i)
             pool.stats.reset()
             results = tree.search_all(QUERY)
-            runs[size] = (results, pool.stats.to_dict())
-        assert runs[0] == runs[128]
+            runs[store_class] = (results, pool.stats.to_dict())
+        assert runs[DecodeEveryRead] == runs[GRNodeStore]
 
 
 class TestWriteThrough:
@@ -121,9 +115,9 @@ class TestWriteThrough:
 class TestCursorOverCache:
     def test_condense_under_cursor_retrieve_and_delete(self):
         """Section 5.5: a retrieve-and-delete loop over a condensing
-        tree must neither repeat nor miss entries -- with the node cache
-        interposed, the restarted cursor must see post-condense nodes,
-        not cached pre-condense ones."""
+        tree must neither repeat nor miss entries -- with decoded nodes
+        shared, the restarted cursor must see post-condense nodes, not
+        pre-condense ones."""
         tree, clock, pool, store = make_tree(page_size=512)
         total = 300
         for i in range(total):
@@ -145,7 +139,7 @@ class TestCursorOverCache:
     def test_crash_invalidate_discards_cached_nodes(self):
         """After flush + invalidate (crash simulation) the store must
         serve the *flushed* state -- unflushed inserts must vanish from
-        node-cache reads exactly as they vanish from the page level."""
+        decoded reads exactly as they vanish from the page level."""
         tree, clock, pool, store = make_tree()
         for i in range(100):
             tree.insert(extent(90), rowid=i)
@@ -153,9 +147,8 @@ class TestCursorOverCache:
         flushed_pages = set(pool.store.snapshot())
         for i in range(100, 140):
             tree.insert(extent(90), rowid=i)  # never flushed
-        pool.invalidate()  # crash: frames AND cached nodes dropped
-        assert store.cached_nodes == 0
-        assert store.cache_stats.invalidations > 0
+        pool.invalidate()  # crash: frames and their decoded nodes dropped
+        assert pool.resident_pages == 0
         reopened = GRTree.open(store, clock, tree.meta_page)
         got = sorted(r for r, _ in reopened.search_all(QUERY))
         assert got == list(range(100))
@@ -169,7 +162,7 @@ class TestCursorOverCache:
 
     def test_recycled_page_after_condense_not_served_stale(self):
         """Condense frees pages; a later split may recycle their ids.
-        The cache must never serve the freed node under the new id."""
+        The pool must never serve the freed node under the new id."""
         tree, clock, pool, store = make_tree(page_size=512)
         rng = random.Random(11)
         live = {}

@@ -31,7 +31,7 @@ NOW_BASE = 100
 def make_tree(now=NOW_BASE, capacity=16):
     clock = Clock(now=now)
     pool = BufferPool(InMemoryPageStore(2048), capacity=capacity)
-    return GRTree.create(GRNodeStore(pool, node_cache_size=16), clock), clock
+    return GRTree.create(GRNodeStore(pool), clock), clock
 
 
 def random_extent(rng, now):

@@ -30,7 +30,7 @@ def grow(seed: int, spec) -> tuple:
     """Grow one tree through the randomized bitemporal workload."""
     clock = Clock(now=100)
     pool = BufferPool(InMemoryPageStore(page_size=PAGE_SIZE), capacity=256)
-    store = GRNodeStore(pool, node_cache_size=256)
+    store = GRNodeStore(pool)
     tree = GRTree.create(store, clock, time_horizon=20, spec=spec)
     workload = BitemporalWorkload(
         clock,

@@ -27,6 +27,35 @@ def server():
     return s
 
 
+@pytest.mark.parametrize(
+    "first,second",
+    [
+        (register_rtree_blade, register_gist_blade),
+        (register_gist_blade, register_rtree_blade),
+    ],
+    ids=["rtree-then-gist", "gist-then-rtree"],
+)
+def test_box_blades_install_in_either_order(first, second):
+    """Both blades index Box; whichever comes second reuses the type."""
+    s = DatabaseServer(clock=Clock(now=100))
+    s.create_sbspace("spc")
+    first(s)
+    second(s)
+    s.prefer_virtual_index = True
+    s.execute("CREATE TABLE b (name LVARCHAR, c Box)")
+    s.execute("CREATE INDEX br ON b(c) USING rtree_am IN spc")
+    s.execute("CREATE INDEX bg ON b(c) USING gist_am IN spc")
+    for i in range(20):
+        s.execute(f"INSERT INTO b VALUES ('b{i}', '({i}, 0, {i + 1}, 1)')")
+    for predicate, index in (
+        ("Overlap(c, '(0, 0, 4.5, 1)')", "br"),
+        ("GS_Overlap(c, '(0, 0, 4.5, 1)')", "bg"),
+    ):
+        rows = s.execute(f"SELECT name FROM b WHERE {predicate}")
+        assert s.last_plan.index.name == index
+        assert sorted(row["name"] for row in rows) == [f"b{i}" for i in range(5)]
+
+
 class TestFourBlades:
     def test_catalog_holds_all_access_methods(self, server):
         assert set(server.catalog.access_methods.names()) == {

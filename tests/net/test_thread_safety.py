@@ -131,17 +131,19 @@ class TestStatementCache:
 
 
 class TestNodeCacheStore:
+    """A GR-tree store over a pool too small for its pages: decoded
+    nodes come and go with the frames while threads read and write."""
+
     PAGES = 48
-    CACHE = 16
 
     def build_store(self):
         pool = BufferPool(InMemoryPageStore(page_size=512), capacity=8)
-        store = GRNodeStore(pool, node_cache_size=self.CACHE)
+        store = GRNodeStore(pool)
         page_ids = []
         for i in range(self.PAGES):
             node = store.allocate(leaf=True)
             # The page id round-trips through the entry payload, so a
-            # cross-wired cache slot is caught by content, not just key.
+            # cross-wired frame is caught by content, not just key.
             node.entries.append(
                 GREntry(node.page_id, node.page_id + 1, 0, 1, rowid=i)
             )
@@ -151,6 +153,8 @@ class TestNodeCacheStore:
 
     def test_concurrent_reads_return_correct_nodes(self, lock_audit):
         store, page_ids = self.build_store()
+        pool = store.buffer
+        pool.decode_hits = pool.decodes = 0
         reads_per_thread = 600
 
         def worker(index):
@@ -162,9 +166,9 @@ class TestNodeCacheStore:
                 assert node.entries[0].tt_begin == page_id
 
         hammer(worker)
-        assert store.cached_nodes <= self.CACHE
-        stats = store.cache_stats
-        assert stats.hits + stats.misses == THREADS * reads_per_thread
+        assert pool.resident_pages <= pool.capacity
+        assert pool.decode_hits + pool.decodes == THREADS * reads_per_thread
+        assert pool.decodes > 0
 
     def test_concurrent_read_write_mix_never_corrupts(self, lock_audit):
         store, page_ids = self.build_store()
@@ -184,7 +188,7 @@ class TestNodeCacheStore:
                     store.write(node)
 
         hammer(worker)
-        assert store.cached_nodes <= self.CACHE
+        assert store.buffer.resident_pages <= store.buffer.capacity
         for page_id in page_ids:
             assert store.read(page_id).entries[0].tt_begin == page_id
 

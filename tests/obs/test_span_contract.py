@@ -187,8 +187,6 @@ EXPECTED = [
          "buffer.index.gi.resident_pages": 2,
          "locks.acquires": 1,
          "locks.releases": 1,
-         "nodecache.index.gi.cached_nodes": 1,
-         "nodecache.index.gi.size": 128,
          "sbspace.spc.closes": 1,
          "sbspace.spc.large_objects": 1,
          "sbspace.spc.opens": 1,
@@ -278,15 +276,19 @@ EXPECTED = [
          "am.calls.am_close": 3,
          "am.calls.am_insert": 36,
          "am.calls.am_open": 3,
+         "buffer.index.bi.decode_hits": 12,
          "buffer.index.bi.logical_reads": 12,
          "buffer.index.bi.logical_writes": 13,
          "buffer.index.bi.physical_writes": 2,
+         "buffer.index.gi.decode_hits": 12,
          "buffer.index.gi.logical_reads": 12,
          "buffer.index.gi.logical_writes": 24,
          "buffer.index.gi.physical_writes": 2,
+         "buffer.index.hi.hash.decode_hits": 12,
          "buffer.index.hi.hash.logical_reads": 12,
          "buffer.index.hi.hash.logical_writes": 14,
          "buffer.index.hi.hash.physical_writes": 10,
+         "buffer.index.hi.tree.decode_hits": 12,
          "buffer.index.hi.tree.logical_reads": 12,
          "buffer.index.hi.tree.logical_writes": 13,
          "buffer.index.hi.tree.physical_writes": 2,
@@ -294,7 +296,6 @@ EXPECTED = [
          "hblade.inserts": 12,
          "locks.acquires": 8,
          "locks.releases": 4,
-         "nodecache.index.gi.hits": 12,
          "sbspace.spc.closes": 4,
          "sbspace.spc.opens": 4,
          "sbspace.spc.page_writes": 16,
@@ -320,6 +321,7 @@ EXPECTED = [
          "am.calls.am_getnext": 2,
          "am.calls.am_open": 1,
          "am.calls.am_scancost": 1,
+         "buffer.index.hi.hash.decode_hits": 1,
          "buffer.index.hi.hash.logical_reads": 1,
          "hblade.hash_path": 1,
          "hblade.point_lookups": 1,
@@ -357,6 +359,7 @@ EXPECTED = [
          "am.calls.am_getnext": 5,
          "am.calls.am_open": 1,
          "am.calls.am_scancost": 1,
+         "buffer.index.bi.decode_hits": 1,
          "buffer.index.bi.logical_reads": 1,
          "locks.acquires": 1,
          "locks.releases": 1,
@@ -391,11 +394,11 @@ EXPECTED = [
          "am.calls.am_getnext": 10,
          "am.calls.am_open": 1,
          "am.calls.am_scancost": 1,
+         "buffer.index.gi.decode_hits": 11,
          "buffer.index.gi.logical_reads": 11,
          "grtree.searches": 1,
          "locks.acquires": 1,
          "locks.releases": 1,
-         "nodecache.index.gi.hits": 11,
          "plan.indexscan": 1,
          "sbspace.spc.closes": 1,
          "sbspace.spc.opens": 1,
@@ -427,15 +430,19 @@ EXPECTED = [
          "am.calls.am_close": 3,
          "am.calls.am_insert": 3,
          "am.calls.am_open": 3,
+         "buffer.index.bi.decode_hits": 1,
          "buffer.index.bi.logical_reads": 1,
          "buffer.index.bi.logical_writes": 2,
          "buffer.index.bi.physical_writes": 2,
+         "buffer.index.gi.decode_hits": 1,
          "buffer.index.gi.logical_reads": 1,
          "buffer.index.gi.logical_writes": 2,
          "buffer.index.gi.physical_writes": 2,
+         "buffer.index.hi.hash.decode_hits": 1,
          "buffer.index.hi.hash.logical_reads": 1,
          "buffer.index.hi.hash.logical_writes": 3,
          "buffer.index.hi.hash.physical_writes": 3,
+         "buffer.index.hi.tree.decode_hits": 1,
          "buffer.index.hi.tree.logical_reads": 1,
          "buffer.index.hi.tree.logical_writes": 2,
          "buffer.index.hi.tree.physical_writes": 2,
@@ -443,7 +450,6 @@ EXPECTED = [
          "hblade.inserts": 1,
          "locks.acquires": 8,
          "locks.releases": 4,
-         "nodecache.index.gi.hits": 1,
          "sbspace.spc.closes": 4,
          "sbspace.spc.opens": 4,
          "sbspace.spc.page_writes": 9,
@@ -470,9 +476,11 @@ EXPECTED = [
          "am.calls.am_open": 4,
          "am.calls.am_scancost": 1,
          "am.calls.am_update": 1,
+         "buffer.index.bi.decode_hits": 3,
          "buffer.index.bi.logical_reads": 3,
          "buffer.index.bi.logical_writes": 3,
          "buffer.index.bi.physical_writes": 2,
+         "buffer.index.hi.hash.decode_hits": 1,
          "buffer.index.hi.hash.logical_reads": 1,
          "hblade.hash_path": 1,
          "hblade.point_lookups": 1,
@@ -514,15 +522,19 @@ EXPECTED = [
          "am.calls.am_getnext": 2,
          "am.calls.am_open": 4,
          "am.calls.am_scancost": 1,
+         "buffer.index.bi.decode_hits": 2,
          "buffer.index.bi.logical_reads": 2,
          "buffer.index.bi.logical_writes": 2,
          "buffer.index.bi.physical_writes": 2,
+         "buffer.index.gi.decode_hits": 2,
          "buffer.index.gi.logical_reads": 2,
          "buffer.index.gi.logical_writes": 2,
          "buffer.index.gi.physical_writes": 2,
+         "buffer.index.hi.hash.decode_hits": 2,
          "buffer.index.hi.hash.logical_reads": 2,
          "buffer.index.hi.hash.logical_writes": 3,
          "buffer.index.hi.hash.physical_writes": 3,
+         "buffer.index.hi.tree.decode_hits": 2,
          "buffer.index.hi.tree.logical_reads": 2,
          "buffer.index.hi.tree.logical_writes": 2,
          "buffer.index.hi.tree.physical_writes": 2,
@@ -532,7 +544,6 @@ EXPECTED = [
          "hblade.point_lookups": 1,
          "locks.acquires": 10,
          "locks.releases": 6,
-         "nodecache.index.gi.hits": 2,
          "plan.indexscan": 1,
          "sbspace.spc.closes": 6,
          "sbspace.spc.opens": 6,
@@ -568,11 +579,11 @@ EXPECTED = [
          "am.calls.am_getnext": 13,
          "am.calls.am_open": 1,
          "am.calls.am_scancost": 1,
+         "buffer.index.gi.decode_hits": 14,
          "buffer.index.gi.logical_reads": 14,
          "grtree.searches": 1,
          "locks.acquires": 1,
          "locks.releases": 1,
-         "nodecache.index.gi.hits": 14,
          "plan.indexscan": 1,
          "sbspace.spc.closes": 1,
          "sbspace.spc.opens": 1,

@@ -75,8 +75,8 @@ class TestObserve:
                 "pool.logical_reads": 4,
                 "sbspace.logical_reads": 2,
                 "pool.logical_writes": 1,
-                "nodecache.index.gi.hits": 6,
-                "nodecache.index.gi.misses": 2,
+                "buffer.index.gi.decode_hits": 6,
+                "buffer.index.gi.decodes": 2,
                 "locks.conflicts": 3,
                 "locks.wait_seconds": 0.25,
                 "wal.records": 9,  # unrelated: must not be counted

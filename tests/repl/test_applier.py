@@ -215,7 +215,7 @@ def test_replicated_grtree_index_answers_queries():
     primary.execute("CREATE TABLE t (name LVARCHAR, te GRT_TimeExtent_t)")
     primary.execute(
         "CREATE INDEX gi ON t(te) USING grtree_am IN spc "
-        "WITH (buffer_capacity = 8, node_cache = 8)"
+        "WITH (buffer_capacity = 8)"
     )
     primary.prefer_virtual_index = True
     for i in range(8):

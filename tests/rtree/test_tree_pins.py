@@ -158,11 +158,11 @@ def _extent(rng, now: int) -> TimeExtent:
     return TimeExtent(now, UC, vt_begin, vt_begin + rng.randint(0, 30))
 
 
-def _grtree_record(spec: bool, node_cache: int) -> dict:
+def _grtree_record(spec: bool) -> dict:
     rng = random.Random(1999)
     clock = Clock(now=100)
     pool = BufferPool(InMemoryPageStore(page_size=512), capacity=12)
-    store = GRNodeStore(pool, node_cache_size=node_cache)
+    store = GRNodeStore(pool)
     tree = GRTree.create(
         store, clock, time_horizon=20, spec=SpecializedOps() if spec else None
     )
@@ -278,10 +278,9 @@ def test_guttman_tree_is_pinned():
 
 
 @pytest.mark.parametrize("spec", [True, False], ids=["spec", "generic"])
-@pytest.mark.parametrize("node_cache", [64, 0], ids=["cache", "nocache"])
-def test_grtree_is_pinned(spec, node_cache):
-    """Specialization and the node cache never change a byte or an I/O."""
-    assert _grtree_record(spec, node_cache) == EXPECTED["grtree"]
+def test_grtree_is_pinned(spec):
+    """Specialization never changes a byte or an I/O."""
+    assert _grtree_record(spec) == EXPECTED["grtree"]
 
 
 def test_gist_rect_tree_is_pinned():

@@ -326,17 +326,13 @@ sql.stmtcache.misses               120
 sql.stmtcache.size                 64
 
 == buffer pools ==
-pool                       lreads   preads  lwrites  pwrites    hit%  resident  frames
-index.bi                        3        0        8        8  100.0%         2      64
-index.gi                        3        0        8        8  100.0%         2      64
-index.hi.hash                   5        0       19       19  100.0%        10      64
-index.hi.tree                   3        0        8        8  100.0%         2      64
+pool                       lreads   preads  lwrites  pwrites    hit%  resident  frames  decodes    dhits
+index.bi                        3        0        8        8  100.0%         2      64        0        3
+index.gi                        3        0        8        8  100.0%         2      64        0        3
+index.hi.hash                   5        0       19       19  100.0%        10      64        0        5
+index.hi.tree                   3        0        8        8  100.0%         2      64        0        3
 (total)                        14        0       43       43  100.0%
 buffer hit ratio: 1.0000
-
-== node caches ==
-cache                        hits   misses   evicts   invals  cached   size
-index.gi                        3        0        0        0       1    128
 
 == specialization ==
 index                      scans  batched  fallbk  maskhit  choices  bounds  vec

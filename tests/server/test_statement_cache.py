@@ -1,6 +1,6 @@
 """Server-side caching: the parsed-statement cache, configurable
-buffer/node-cache sizes (server-wide and per ``CREATE INDEX ... WITH``),
-the blade's handle cache, and their SHOW STATS surfacing."""
+buffer pool sizes (server-wide and per ``CREATE INDEX ... WITH``), the
+blade's handle cache, and their SHOW STATS surfacing."""
 
 import pytest
 
@@ -80,9 +80,9 @@ class TestCreateIndexWith:
     def test_with_clause_parses_into_parameters(self):
         stmt = ast.parse(
             "CREATE INDEX gi ON e(te) USING grtree_am IN spc "
-            "WITH (buffer_capacity = 8, node_cache = 16)"
+            "WITH (buffer_capacity = 8, specialize = 0)"
         )
-        assert stmt.parameters == {"buffer_capacity": 8, "node_cache": 16}
+        assert stmt.parameters == {"buffer_capacity": 8, "specialize": 0}
 
     def test_with_clause_sizes_the_caches(self, server):
         server.execute(
@@ -90,42 +90,28 @@ class TestCreateIndexWith:
         )
         server.execute(
             "CREATE INDEX gi2 ON t2(te) USING grtree_am IN spc "
-            "WITH (buffer_capacity = 8, node_cache = 16)"
+            "WITH (buffer_capacity = 8)"
         )
         server.execute(f"INSERT INTO t2 VALUES ('a', {EXTENT})")
         pool = server.obs.pools["index.gi2"]
-        store = server.obs.node_caches["index.gi2"]
         assert pool.capacity == 8
-        assert store.node_cache_size == 16
         info = server.catalog.get_index("gi2")
         assert info.parameters["buffer_capacity"] == 8
 
     def test_server_wide_defaults_apply(self):
-        s = DatabaseServer(buffer_capacity=24, node_cache_size=48)
+        s = DatabaseServer(buffer_capacity=24)
         s.create_sbspace("spc")
         register_grtree_blade(s)
         s.prefer_virtual_index = True
         s.execute("CREATE TABLE e (n LVARCHAR, te GRT_TimeExtent_t)")
         s.execute("CREATE INDEX gi ON e(te) USING grtree_am IN spc")
         assert s.obs.pools["index.gi"].capacity == 24
-        assert s.obs.node_caches["index.gi"].node_cache_size == 48
-
-    def test_node_cache_zero_disables_per_index(self, server):
-        server.execute("CREATE TABLE t3 (n LVARCHAR, te GRT_TimeExtent_t)")
-        server.execute(
-            "CREATE INDEX gi3 ON t3(te) USING grtree_am IN spc "
-            "WITH (node_cache = 0)"
-        )
-        server.execute(f"INSERT INTO t3 VALUES ('a', {EXTENT})")
-        store = server.obs.node_caches["index.gi3"]
-        assert store.node_cache_size == 0
-        assert store.cached_nodes == 0
 
     def test_capacity_column_in_show_stats(self, server):
         server.execute(f"INSERT INTO e VALUES ('a', {EXTENT})")
         report = server.execute("SHOW STATS")
-        assert "frames" in report       # buffer-pool capacity column
-        assert "node caches" in report  # node-cache section
+        assert "frames" in report   # buffer-pool capacity column
+        assert "decodes" in report  # decoded-page column
 
 
 class TestHandleCache:

@@ -172,14 +172,6 @@ class TestBufferPool:
         assert recycled == pid
         assert pool.read(recycled) == b"\x00" * 64
 
-    def test_invalidation_listeners_fire(self):
-        store, pool = self.make()
-        dropped = []
-        pool.add_invalidation_listener(lambda: dropped.append(True))
-        pool.invalidate()
-        pool.invalidate()
-        assert dropped == [True, True]
-
     def test_full_page_write_preserved_verbatim(self):
         """_check_data must pass exactly-page-sized bytes through
         unchanged (the serializer fast path emits full pages)."""
