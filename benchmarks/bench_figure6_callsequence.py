@@ -1,9 +1,11 @@
 """Figure 6: purpose functions called for INSERT and SELECT statements.
 
 Runs both statements against a GR-tree-indexed table with purpose-
-function tracing on, asserts the exact call sequences of the figure, and
-benchmarks each statement end to end (parser, optimizer, descriptors,
-purpose functions, DataBlade, storage).
+function tracing on, asserts the exact call sequences of the figure --
+for SELECT at the paper's row budget of 1 (one ``am_getnext`` per row)
+and at the engine's (one batch) -- and benchmarks each statement end to
+end (parser, optimizer, descriptors, purpose functions, DataBlade,
+storage).
 """
 
 import itertools
@@ -11,7 +13,7 @@ import itertools
 import pytest
 
 from repro.datablade import register_grtree_blade
-from repro.server import DatabaseServer
+from repro.server import DatabaseServer, executor
 from repro.temporal.chronon import Clock, format_chronon
 
 FIGURE_6A = ["am_open", "am_insert", "am_close"]
@@ -67,7 +69,22 @@ def test_figure6a_insert_sequence(server, benchmark, write_artifact):
     )
 
 
-def test_figure6b_select_sequence(server, benchmark, write_artifact):
+def traced_select(server, query):
+    """The rows and the purpose functions called for *query*."""
+    server.trace.set_level("am", 1)
+    server.trace.clear()
+    rows = server.execute(query)
+    sequence = calls(server)
+    # The optimizer's am_scancost probe precedes the figure's sequence.
+    assert sequence[0] == "am_scancost"
+    body = sequence[1:]
+    assert body[:3] == FIGURE_6B_PREFIX
+    assert body[-2:] == FIGURE_6B_SUFFIX
+    assert all(c == "am_getnext" for c in body[3:-2])
+    return rows, sequence
+
+
+def test_figure6b_select_sequence(server, benchmark, write_artifact, monkeypatch):
     query = (
         f"SELECT name FROM t WHERE "
         f"Overlaps(te, '{day(100)}, UC, {day(100)}, NOW')"
@@ -75,18 +92,15 @@ def test_figure6b_select_sequence(server, benchmark, write_artifact):
     rows = benchmark(server.execute, query)
     assert len(rows) >= 50
 
-    server.trace.set_level("am", 1)
-    server.execute(query)
-    sequence = calls(server)
-    # The optimizer's am_scancost probe precedes the figure's sequence.
-    assert sequence[0] == "am_scancost"
-    body = sequence[1:]
-    assert body[:3] == FIGURE_6B_PREFIX
-    assert body[-2:] == FIGURE_6B_SUFFIX
-    middle = body[3:-2]
-    assert all(c == "am_getnext" for c in middle)
-    # One am_getnext per returned row plus the final empty call.
-    assert body.count("am_getnext") == len(rows) + 1
+    # At the engine's row budget (64) one am_getnext returns every row
+    # and a second, empty one ends the scan.
+    _, sequence = traced_select(server, query)
+    assert sequence.count("am_getnext") == 2
+    # The paper's protocol is the budget-1 case: one am_getnext per
+    # returned row plus the final empty call.
+    monkeypatch.setattr(executor, "NIOROWS", 1)
+    rows, sequence = traced_select(server, query)
+    assert sequence.count("am_getnext") == len(rows) + 1
     write_artifact(
         "figure6b_select.txt",
         "Figure 6(b): purpose functions called for SELECT\n"

@@ -261,38 +261,44 @@ class _BladeScan:
         self.tree = tree
         self.branches = branches
         self.now = now
-        self._branch = 0
-        self._cursor: Optional[Cursor] = None
         self._seen: set = set()
+        self.reset()
 
     def reset(self) -> None:
         self._branch = 0
-        self._cursor = None
+        self._cursor: Optional[Cursor] = None
         self._seen.clear()
 
-    def next(self) -> Optional[RowReference]:
-        while self._branch < len(self.branches):
-            branch = self.branches[self._branch]
+    def next_rows(self, limit: int) -> List[RowReference]:
+        rows: List[RowReference] = []
+        while len(rows) < limit and self._branch < len(self.branches):
             if self._cursor is None:
-                primary = branch[0]
+                primary, *rest = self.branches[self._branch]
                 self._cursor = self.tree.search(
                     primary.query, primary.predicate, now=self.now
                 )
-            entry = self._cursor.next()
-            if entry is None:
+                # The residual tests of the branch, query regions built once.
+                self._residual = [
+                    (pred.predicate.leaf_test, pred.query.region(self.now))
+                    for pred in rest
+                ]
+            want = limit - len(rows)
+            entries = self._cursor.next_batch(want)
+            if len(entries) < want:  # this branch is exhausted
                 self._branch += 1
                 self._cursor = None
-                continue
-            key = (entry.rowid, entry.fragid)
-            if key in self._seen:
-                continue
-            region = entry.region(self.now)
-            if all(
-                pred.predicate.leaf_test(region, pred.query.region(self.now))
-                for pred in branch[1:]
-            ):
+            for entry in entries:
+                key = (entry.rowid, entry.fragid)
+                if key in self._seen:
+                    continue
+                if self._residual:
+                    region = entry.region(self.now)
+                    if not all(test(region, query) for test, query in self._residual):
+                        continue
                 self._seen.add(key)
-                return RowReference(
-                    rowid=entry.rowid, fragid=entry.fragid, row=(entry.extent(),)
+                rows.append(
+                    RowReference(
+                        rowid=entry.rowid, fragid=entry.fragid, row=(entry.extent(),)
+                    )
                 )
-        return None
+        return rows

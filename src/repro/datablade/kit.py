@@ -26,6 +26,7 @@ fills in the hooks: ``validate``, ``build``/``save``, ``leaf``,
 from __future__ import annotations
 
 import struct
+from itertools import islice
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.datablade import bladesmith
@@ -89,7 +90,7 @@ def parse_option(name: str, value: Any, default: Any, minimum: int) -> Any:
 class MaterializedScan:
     """The cursor of a blade whose probes return whole hit lists: one
     probe per DNF branch, de-duplicated across branches on (rowid,
-    fragid), replayed by ``next``."""
+    fragid), replayed by ``next_rows``."""
 
     def __init__(
         self,
@@ -109,12 +110,12 @@ class MaterializedScan:
                 hits.setdefault((rowid, fragid), key)
         self._hits = iter(hits.items())
 
-    def next(self) -> Optional[RowReference]:
-        hit = next(self._hits, None)
-        if hit is None:
-            return None
-        (rowid, fragid), key = hit
-        return RowReference(rowid=rowid, fragid=fragid, row=(self.decode(key),))
+    def next_rows(self, limit: int) -> List[RowReference]:
+        decode = self.decode
+        return [
+            RowReference(rowid=rowid, fragid=fragid, row=(decode(key),))
+            for (rowid, fragid), key in islice(self._hits, limit)
+        ]
 
 
 class AccessMethodBlade:
@@ -510,11 +511,12 @@ class AccessMethodBlade:
         self._trace("rescan", 3, "reset Cursor")
         return 0
 
-    def am_getnext(self, sd: ScanDescriptor) -> Optional[RowReference]:
-        ref = self._scan(sd).next()
-        if ref is not None:
+    def am_getnext(self, sd: ScanDescriptor) -> List[RowReference]:
+        """Up to ``sd.niorows`` rows; an empty list ends the scan."""
+        refs = self._scan(sd).next_rows(sd.niorows)
+        for ref in refs:
             self._trace("getnext", 4, "formed retrowid from rowid=%s", ref.rowid)
-        return ref
+        return refs
 
     def am_endscan(self, sd: ScanDescriptor) -> int:
         self._trace("endscan", 1, "get index descriptor td")

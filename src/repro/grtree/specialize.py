@@ -92,11 +92,12 @@ class NodeColumns:
     ``tt_end``/``vt_end`` encode ``UC``/``NOW`` as :data:`SENTINEL`.
     Instances are immutable snapshots: any store write drops the cached
     instance from its node, so identity doubles as a version tag (the
-    per-scan mask cache keys on it).
+    per-scan mask cache keys on it).  ``resolved`` keeps the last
+    :func:`_resolve` result as ``(now, arrays)``.
     """
 
     __slots__ = ("n", "tt_begin", "tt_end", "vt_begin", "vt_end",
-                 "rectangle", "hidden")
+                 "rectangle", "hidden", "resolved")
 
     def __init__(self, entries: Sequence[GREntry], np) -> None:
         n = len(entries)
@@ -120,6 +121,7 @@ class NodeColumns:
         self.vt_end = np.asarray(vt_end, dtype=np.int64)
         self.rectangle = np.asarray(rectangle, dtype=bool)
         self.hidden = np.asarray(hidden, dtype=bool)
+        self.resolved = None
 
 
 def _resolve(np, cols: NodeColumns, now: int):
@@ -129,8 +131,13 @@ def _resolve(np, cols: NodeColumns, now: int):
     ``stair`` flag is *uncanonical* (a stair whose diagonal never binds
     keeps the flag) -- every consumer below is flag-canonicalization
     neutral except ``equal``, which re-canonicalizes.  ``empty`` marks
-    entries whose region would make :meth:`GREntry.region` raise.
+    entries whose region would make :meth:`GREntry.region` raise.  The
+    arrays are kept on *cols* for the next call at the same *now*, so a
+    node that many scans read at one time is resolved once.
     """
+    cached = cols.resolved
+    if cached is not None and cached[0] == now:
+        return cached[1]
     tt_lo = cols.tt_begin
     tt_hi = np.where(cols.tt_end == SENTINEL, now, cols.tt_end)
     tt_hi = np.maximum(tt_hi, tt_lo)
@@ -142,8 +149,9 @@ def _resolve(np, cols: NodeColumns, now: int):
     stair = now_rel & ~cols.rectangle
     vt_hi = np.where(now_rel, tt_hi, vte)
     vt_lo = cols.vt_begin
-    empty = vt_lo > vt_hi
-    return tt_lo, tt_hi, vt_lo, vt_hi, stair, empty
+    resolved = (tt_lo, tt_hi, vt_lo, vt_hi, stair, vt_lo > vt_hi)
+    cols.resolved = (now, resolved)
+    return resolved
 
 
 def _areas(np, tt_lo, tt_hi, vt_lo, vt_hi, stair, empty=None):
@@ -328,12 +336,14 @@ class SpecStats:
 
 
 class ScanMatcher:
-    """Per-scan compiled kernels plus a mask cache keyed on column
-    identity (columns are replaced on every store write, so identity is
-    a safe version tag for the life of the scan)."""
+    """Per-scan compiled kernels plus a cache of internal-node masks
+    keyed on column identity (columns are replaced on every store write,
+    so identity is a safe version tag for the life of the scan).  A
+    restarted cursor revisits internal nodes; it qualifies a leaf once
+    per visit and rescans one only after a write, so leaves need none."""
 
     __slots__ = ("spec", "leaf_kernel", "internal_kernel", "now", "query",
-                 "_leaf_cache", "_internal_cache")
+                 "_internal_cache")
 
     def __init__(self, spec: "SpecializedOps", predicate: Predicate,
                  query: Region, now: Chronon) -> None:
@@ -342,8 +352,7 @@ class ScanMatcher:
         self.internal_kernel = _INTERNAL_KERNELS[predicate]
         self.query = query
         self.now = now
-        #: page_id -> (columns instance, computed result).
-        self._leaf_cache: Dict[int, Tuple[NodeColumns, List[int]]] = {}
+        #: page_id -> (columns instance, mask).
         self._internal_cache: Dict[int, Tuple[NodeColumns, Any]] = {}
 
     def leaf_matches(self, node) -> Optional[List[int]]:
@@ -353,20 +362,13 @@ class ScanMatcher:
         np = spec.np
         if np is None or len(node.entries) < MIN_BATCH:
             return None
-        cols = spec.columns(node)
-        cached = self._leaf_cache.get(node.page_id)
-        if cached is not None and cached[0] is cols:
-            spec.stats.mask_cache_hits += 1
-            return cached[1]
-        resolved = _resolve(np, cols, self.now)
+        resolved = _resolve(np, spec.columns(node), self.now)
         if bool(resolved[5].any()):
             spec.stats.nodes_fallback += 1
             return None  # an entry decodes empty: let the generic path raise
         mask = self.leaf_kernel(np, resolved, self.query)
-        hits = np.flatnonzero(mask).tolist()
-        self._leaf_cache[node.page_id] = (cols, hits)
         spec.stats.nodes_batched += 1
-        return hits
+        return np.flatnonzero(mask).tolist()
 
     def internal_mask(self, node):
         """Boolean qualification mask over an internal node's entries,

@@ -158,17 +158,27 @@ class IndexDescriptor:
 
 @dataclass
 class ScanDescriptor:
-    """The ``sd`` structure for a scan: index + qualification."""
+    """The ``sd`` structure for a scan: index + qualification + row
+    budget.
+
+    ``niorows`` is the most rows one ``am_getnext`` call may return (the
+    Informix VII's ``mi_tab_niorows``; the access method hands them over
+    as ``mi_tab_setnextrow`` does).  The executor sets it when it builds
+    the descriptor; 1 is the paper's one-row-per-call protocol.
+    """
 
     index: IndexDescriptor
     qualification: Optional[Qualification]
     user_data: Dict[str, Any] = field(default_factory=dict)
+    niorows: int = 1
 
 
 @dataclass
 class RowReference:
-    """What ``am_getnext`` returns: a rowid/fragid plus the indexed
-    fields, so covering queries can skip the base table."""
+    """One row of an ``am_getnext`` batch: a rowid/fragid plus the
+    indexed fields, so covering queries can skip the base table.  A call
+    returns a list of at most ``sd.niorows`` of them; an empty list ends
+    the scan."""
 
     rowid: int
     fragid: int = 0

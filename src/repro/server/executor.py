@@ -6,7 +6,8 @@ paper's Figure 6:
 
 * ``INSERT``:  ``am_open`` -> ``am_insert`` -> ``am_close``
 * ``SELECT`` (virtual index chosen): ``am_open`` -> ``am_beginscan`` ->
-  ``am_getnext`` (repeated) -> ``am_endscan`` -> ``am_close``
+  ``am_getnext`` (repeated, each call a batch of up to ``NIOROWS`` rows,
+  until one returns none) -> ``am_endscan`` -> ``am_close``
 
 When no virtual index applies (or the seqscan is cheaper), strategy
 functions run as ordinary UDRs against every row.
@@ -40,6 +41,10 @@ from repro.server.udr import Routine
 
 #: Trace class used for purpose-function call sequences (Figure 6).
 TRACE_AM = "am"
+
+#: The row budget of every index scan (``sd.niorows``): the most rows
+#: one ``am_getnext`` call returns.  1 is the paper's literal protocol.
+NIOROWS = 64
 
 
 class Executor:
@@ -418,19 +423,20 @@ class Executor:
         # Figure 6(b): am_open, am_beginscan, am_getnext*, am_endscan,
         # am_close.
         info, am, td = self._open_index(plan.index, session)
-        sd = ScanDescriptor(td, plan.qualification)
+        sd = ScanDescriptor(td, plan.qualification, niorows=NIOROWS)
         self.call_purpose(am, "am_beginscan", sd)
         try:
             while True:
-                ref = self.call_purpose(am, "am_getnext", sd)
-                if ref is None:
+                refs = self.call_purpose(am, "am_getnext", sd)
+                if not refs:
                     break
-                row = table.fetch(ref.rowid)
-                table.pages_read += 1  # base-table page fetch
-                if plan.residual is None or self._evaluate(
-                    plan.residual, row, table
-                ):
-                    results.append((ref.rowid, dict(row)))
+                table.pages_read += len(refs)  # base-table page fetches
+                for ref in refs:
+                    row = table.fetch(ref.rowid)
+                    if plan.residual is None or self._evaluate(
+                        plan.residual, row, table
+                    ):
+                        results.append((ref.rowid, dict(row)))
         finally:
             self.call_purpose(am, "am_endscan", sd)
             self.call_purpose(am, "am_close", td)

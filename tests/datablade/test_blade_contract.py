@@ -1,11 +1,14 @@
 """The contract every access-method blade keeps with the server.
 
 Two observable sequences, pinned here so that the blade code behind
-them can be restructured freely:
+them can be restructured freely, and the row budget of ``am_getnext``:
 
 * Figure 6 -- which ``am_*`` purpose functions the server calls, in what
   order, for CREATE INDEX / INSERT / SELECT / DELETE / DROP INDEX.  The
-  sequence is the same for all five access methods.
+  sequence is the same for all five access methods; at a row budget
+  (``sd.niorows``) of 1 it is the paper's, one ``am_getnext`` per row.
+* The budget -- every ``am_getnext`` returns at most ``sd.niorows`` rows,
+  only the last call returns none, and the answers are the seqscan's.
 * Table 5 -- the ordered step trace (``grt`` trace class, level 2) of the
   GR-tree blade's purpose functions over one script, with the handle
   cache on (the default) and off (the paper's literal ``grt_open``).
@@ -20,7 +23,9 @@ from repro.datablade import register_grtree_blade
 from repro.gist import register_gist_blade
 from repro.hblade import register_hybrid_blade
 from repro.rblade import register_rtree_blade
-from repro.server import DatabaseServer
+from repro.server import DatabaseServer, executor
+from repro.server.executor import Executor
+from repro.server.optimizer import IndexScanPlan
 from repro.temporal.chronon import Clock, format_chronon
 
 
@@ -43,22 +48,36 @@ ACCESS_METHODS = {
     "hblade_am": (register_hybrid_blade, "INTEGER", ["1", "2", "3"], "c >= 1"),
 }
 
-SCAN = ["am_scancost", "am_open", "am_beginscan"] + ["am_getnext"] * 4 + [
-    "am_endscan", "am_close",
-]
+def figure_6(getnexts):
+    """Figure 6, extended to the statements that create and remove
+    entries, for a SELECT that makes *getnexts* ``am_getnext`` calls."""
+    scan = ["am_scancost", "am_open", "am_beginscan"] + [
+        "am_getnext"
+    ] * getnexts + ["am_endscan", "am_close"]
+    return {
+        "create": ["am_create", "am_open", "am_insert", "am_close"],
+        "insert": ["am_open", "am_insert", "am_close"],
+        "select": scan,
+        "delete": scan + ["am_open"] + ["am_delete"] * 3 + ["am_close"],
+        "drop": ["am_drop"],
+    }
 
-#: Figure 6, extended to the statements that create and remove entries.
-FIGURE_6 = {
-    "create": ["am_create", "am_open", "am_insert", "am_close"],
-    "insert": ["am_open", "am_insert", "am_close"],
-    "select": SCAN,
-    "delete": SCAN + ["am_open"] + ["am_delete"] * 3 + ["am_close"],
-    "drop": ["am_drop"],
-}
+
+#: Row budget -> Figure 6 over three rows: one call per row plus the
+#: empty one at 1, one batch plus the empty one at 64.
+FIGURE_6 = {1: figure_6(4), 64: figure_6(2)}
 
 
-@pytest.mark.parametrize("am", sorted(ACCESS_METHODS))
-def test_figure6_call_sequences(am):
+@pytest.mark.parametrize(
+    "am, niorows",
+    [
+        pytest.param(am, niorows, id=am if niorows == 1 else f"{am}-niorows{niorows}")
+        for am in sorted(ACCESS_METHODS)
+        for niorows in sorted(FIGURE_6)
+    ],
+)
+def test_figure6_call_sequences(am, niorows, monkeypatch):
+    monkeypatch.setattr(executor, "NIOROWS", niorows)
     register, column_type, values, predicate = ACCESS_METHODS[am]
     server = DatabaseServer(clock=Clock(now=100))
     server.create_sbspace("spc")
@@ -82,7 +101,121 @@ def test_figure6_call_sequences(am):
     deleted, observed["delete"] = calls(f"DELETE FROM t WHERE {predicate}")
     assert deleted == 3
     _, observed["drop"] = calls("DROP INDEX i")
-    assert observed == FIGURE_6
+    assert observed == FIGURE_6[niorows]
+
+
+# ----------------------------------------------------------------------
+# The am_getnext row budget
+# ----------------------------------------------------------------------
+
+ROWS = 200
+
+
+def budget_value(am, i):
+    """Row *i*'s value for *am*: four rows in five satisfy the access
+    method's predicate in :data:`ACCESS_METHODS`."""
+    if am == "grtree_am":
+        if i % 5:
+            return extent(90 + i % 7)
+        # The fifth row lies in valid time [10, 20], before the query.
+        return f"'{format_chronon(100)}, UC, {format_chronon(10)}, {format_chronon(20)}'"
+    if am in ("rtree_am", "gist_am"):
+        # The fifth row lies outside the query box (0, 0, 9, 9).
+        x = i % 9 if i % 5 else 20 + i
+        return f"'({x}, {x}, {x + 0.5}, {x + 0.5})'"
+    # The fifth row is 0, below the range c >= 1.
+    return str(i) if i % 5 else "0"
+
+
+def budget_server(am):
+    """*am* over :data:`ROWS` rows in ``t``, the same rows in the
+    unindexed ``s`` (the seqscan oracle)."""
+    register, column_type, _, _ = ACCESS_METHODS[am]
+    server = DatabaseServer(clock=Clock(now=100))
+    server.create_sbspace("spc")
+    register(server)
+    server.prefer_virtual_index = True
+    for table in ("t", "s"):
+        server.execute(f"CREATE TABLE {table} (name LVARCHAR, c {column_type})")
+    server.execute(f"CREATE INDEX i ON t(c) USING {am} IN spc")
+    for i in range(ROWS):
+        for table in ("t", "s"):
+            server.execute(
+                f"INSERT INTO {table} VALUES ('r{i}', {budget_value(am, i)})"
+            )
+    return server
+
+
+def scan_with_budget(server, monkeypatch, niorows, where, rescan=False):
+    """``SELECT name FROM t WHERE`` *where* at budget *niorows*: the
+    names, in order, and the row count of each ``am_getnext`` call.
+    *rescan* issues ``am_rescan`` right after the first call."""
+    monkeypatch.setattr(executor, "NIOROWS", niorows)
+    batches = []
+    call_purpose = Executor.call_purpose
+
+    def spy(self, am, slot, *args):
+        result = call_purpose(self, am, slot, *args)
+        if slot == "am_getnext":
+            batches.append(len(result))
+            if rescan and len(batches) == 1:
+                call_purpose(self, am, "am_rescan", *args)
+        return result
+
+    monkeypatch.setattr(Executor, "call_purpose", spy)
+    rows = server.execute(f"SELECT name FROM t WHERE {where}")
+    monkeypatch.setattr(Executor, "call_purpose", call_purpose)
+    assert isinstance(server.last_plan, IndexScanPlan)
+    return [row["name"] for row in rows], batches
+
+
+def check_batches(batches, niorows):
+    """At most *niorows* rows a call, full batches until the scan runs
+    dry, and only the last call empty."""
+    assert batches[-1] == 0
+    assert all(0 < n <= niorows for n in batches[:-1])
+    assert all(n == niorows for n in batches[:-2])
+
+
+@pytest.mark.parametrize("niorows", [1, 7, 64])
+@pytest.mark.parametrize("am", sorted(ACCESS_METHODS))
+def test_getnext_row_budget(am, niorows, monkeypatch):
+    server = budget_server(am)
+    predicate = ACCESS_METHODS[am][3]
+    expected = sorted(
+        row["name"]
+        for row in server.execute(f"SELECT name FROM s WHERE {predicate}")
+    )
+    assert len(expected) > 150
+    names, batches = scan_with_budget(server, monkeypatch, niorows, predicate)
+    assert sorted(names) == expected
+    check_batches(batches, niorows)
+    assert len(batches) == -(-len(expected) // niorows) + 1
+    # am_rescan between two calls, in the middle of the scan: the rows of
+    # the first batch, then the whole answer again from the start.
+    names, batches = scan_with_budget(
+        server, monkeypatch, niorows, predicate, rescan=True
+    )
+    assert sorted(names[niorows:]) == expected
+    assert set(names[:niorows]) <= set(expected)
+    check_batches(batches, niorows)
+
+
+@pytest.mark.parametrize("niorows", [1, 7, 64])
+def test_grtree_or_repeats_no_row_across_batches(niorows, monkeypatch):
+    """Two overlapping ``OR`` branches select most rows twice; each is
+    returned once, wherever the batch boundaries fall."""
+    server = budget_server("grtree_am")
+    where = f"Overlaps(c, {extent(100)}) OR Overlaps(c, {extent(93)})"
+    expected = sorted(
+        row["name"]
+        for row in server.execute(f"SELECT name FROM s WHERE {where}")
+    )
+    assert len(expected) > 150
+    names, batches = scan_with_budget(server, monkeypatch, niorows, where)
+    assert sorted(names) == expected
+    assert len(names) == len(set(names))
+    check_batches(batches, niorows)
 
 
 # ----------------------------------------------------------------------

@@ -113,16 +113,16 @@ class TestScanKernels:
         spec = SpecializedOps()
         query = entries[0].region(NOW_BASE)
         matcher = spec.compile_scan(Predicate.OVERLAPS, query, NOW_BASE)
-        first = matcher.leaf_matches(node)
+        first = matcher.internal_mask(node)
         assert spec.stats.mask_cache_hits == 0
-        second = matcher.leaf_matches(node)
-        assert second == first
+        second = matcher.internal_mask(node)
+        assert second.tolist() == first.tolist()
         assert spec.stats.mask_cache_hits == 1
         # A store write drops node.cols; the stale mask must not be
         # served for the rebuilt columns.
         node.cols = None
         node.entries = entries[:-1] + [GREntry(99, UC, 40, NOW)]
-        third = matcher.leaf_matches(node)
+        third = matcher.internal_mask(node)
         assert spec.stats.mask_cache_hits == 1
         assert third is not None
 

@@ -7,6 +7,7 @@ import pytest
 from repro.grtree.cursor import Cursor
 from repro.grtree.entries import GREntry, Predicate
 from repro.grtree.node import GRNodeStore
+from repro.grtree.specialize import SpecializedOps
 from repro.grtree.tree import GRTree
 from repro.grtree.bulk import bulk_delete, bulk_load
 from repro.storage.buffer import BufferPool
@@ -277,6 +278,73 @@ class TestCursor:
         cursor = tree.search(TimeExtent(100, UC, 100, NOW))
         cursor.fetch_all()
         assert cursor.node_accesses >= tree.height
+
+    # Section 5.5 for the leaf buffer: a leaf visit qualifies the leaf
+    # once and buffers the hits not yet returned.  A write between two
+    # calls that does not condense the tree must not let the buffer hand
+    # out a stale entry, repeat one, or lose one.
+
+    QUERY = TimeExtent(100, UC, 100, NOW)
+
+    @pytest.fixture(params=[True, False], ids=["kernel", "scalar"])
+    def leaf(self, request):
+        """A one-leaf tree of twelve qualifying entries (enough for the
+        batch kernel), and its entries by rowid."""
+        spec = SpecializedOps() if request.param else None
+        tree, clock = make_tree(page_size=1024, spec=spec)
+        extents = {i: TimeExtent(100, UC, 90 - i, NOW) for i in range(12)}
+        for rowid, extent in extents.items():
+            tree.insert(extent, rowid)
+        assert tree.height == 1
+        return tree, extents
+
+    def drain(self, cursor):
+        return [entry.rowid for entry in cursor.fetch_all()]
+
+    def test_deleted_buffered_entry_is_never_returned(self, leaf):
+        tree, extents = leaf
+        cursor = tree.search(self.QUERY)
+        first = cursor.next().rowid
+        version = tree.condense_version
+        victim = next(r for r in extents if r != first)
+        assert tree.delete(extents[victim], victim)
+        assert tree.condense_version == version
+        rest = self.drain(cursor)
+        assert victim not in rest
+        assert sorted([first, *rest]) == sorted(set(extents) - {victim})
+
+    def test_insert_into_current_leaf_repeats_and_misses_nothing(self, leaf):
+        tree, extents = leaf
+        cursor = tree.search(self.QUERY)
+        first = [cursor.next().rowid for _ in range(3)]
+        version = tree.condense_version
+        tree.insert(TimeExtent(100, UC, 95, NOW), rowid=99)
+        assert tree.condense_version == version and tree.height == 1
+        returned = first + self.drain(cursor)
+        assert len(returned) == len(set(returned))
+        assert set(returned) == set(extents) | {99}
+
+    def test_reset_drops_the_buffer(self, leaf):
+        tree, extents = leaf
+        cursor = tree.search(self.QUERY)
+        cursor.next()
+        victim = 5
+        assert tree.delete(extents[victim], victim)
+        cursor.reset()
+        fresh = self.drain(tree.search(self.QUERY))
+        assert self.drain(cursor) == fresh
+        assert sorted(fresh) == sorted(set(extents) - {victim})
+
+    def test_restart_keeping_history_drops_the_buffer(self, leaf):
+        tree, extents = leaf
+        cursor = tree.search(self.QUERY)
+        first = cursor.next().rowid
+        victim = next(r for r in extents if r != first)
+        assert tree.delete(extents[victim], victim)
+        cursor.restart_keeping_history()
+        rest = self.drain(cursor)
+        assert first not in rest and victim not in rest
+        assert sorted([first, *rest]) == sorted(set(extents) - {victim})
 
 
 class TestStatsAndQuality:

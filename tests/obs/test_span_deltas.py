@@ -14,7 +14,7 @@ from repro.datablade import register_grtree_blade
 from repro.obs import Observability
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SpanRecorder
-from repro.server import DatabaseServer
+from repro.server import DatabaseServer, executor
 
 from .test_metrics import FakeTimer
 
@@ -204,7 +204,9 @@ class TestScanSpans:
             )
         return server
 
-    def test_one_getnext_span_per_scan(self, server):
+    def _getnext_calls(self, server):
+        """The SELECT's folded ``am_getnext`` span's ``calls`` and the
+        ``am.calls.am_getnext`` counter's increase."""
         calls = server.obs.metrics.counter("am.calls.am_getnext")
         rows = server.execute(
             "SELECT n FROM e WHERE Overlaps(te, '01/01/98, UC, 01/01/98, NOW')"
@@ -212,11 +214,21 @@ class TestScanSpans:
         root = server.obs.spans.last_root("sql.select")
         getnext = [c for c in root.children if c.name == "am.am_getnext"]
         assert len(rows) == 5 and len(getnext) == 1
-        # One call per row plus the call that ends the scan, each counted.
-        assert getnext[0].attrs == {"am": "grtree_am", "calls": 6}
-        assert server.obs.metrics.counter("am.calls.am_getnext") == calls + 6
+        assert getnext[0].attrs["am"] == "grtree_am"
         assert "am.am_getnext [" in server.execute("SHOW SPANS LIMIT 1")
-        assert "calls=6" in server.execute("SHOW SPANS LIMIT 1")
+        folded = getnext[0].attrs["calls"]
+        assert f"calls={folded}" in server.execute("SHOW SPANS LIMIT 1")
+        return folded, server.obs.metrics.counter("am.calls.am_getnext") - calls
+
+    def test_one_getnext_span_per_scan(self, server):
+        # One call returns all five rows (budget NIOROWS), one more ends
+        # the scan, each counted.
+        assert self._getnext_calls(server) == (2, 2)
+
+    def test_one_row_budget_folds_every_call(self, server, monkeypatch):
+        # One call per row plus the call that ends the scan, each counted.
+        monkeypatch.setattr(executor, "NIOROWS", 1)
+        assert self._getnext_calls(server) == (6, 6)
 
     def test_disabled_hub_reads_no_clock(self, server):
         reads = []

@@ -233,7 +233,7 @@ EXPECTED = {
     "grtree": {
         "pages": "4365f16b9ae05ca5",
         "shape": (11, 1, 10),
-        "io": (9605, 6727, 2173, 777),
+        "io": (8811, 6727, 2173, 777),
         "answers": "e974f173747f6d74",
         "check": "ok",
         "corrupt_check": "AssertionError",
