@@ -8,9 +8,12 @@ evaluation argues in.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 from typing import Dict, List
+from unittest import mock
 
+from repro.grtree import specialize
 from repro.grtree.node import GRNodeStore
 from repro.grtree.tree import GRTree
 from repro.storage.buffer import BufferPool
@@ -25,6 +28,15 @@ from repro.workloads import (
 )
 
 PAGE_SIZE = 1024
+
+
+def reference_path(on: bool = True):
+    """A context that runs its body on the GR-tree's per-entry reference
+    path when *on*: numpy hidden from the kernels, as on a host without
+    it (the same patch as the tests' ``scalar_path``)."""
+    if not on:
+        return contextlib.nullcontext()
+    return mock.patch.object(specialize, "_np", None)
 
 
 def pages_touched(io) -> int:

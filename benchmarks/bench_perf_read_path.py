@@ -26,10 +26,10 @@ import gc
 import statistics
 import time
 
-from _perf import PAGE_SIZE
+from _perf import PAGE_SIZE, reference_path
 from repro.datablade import register_grtree_blade
 from repro.grtree.node import GRNodeStore, _decode
-from repro.grtree.specialize import SpecializedOps, numpy_available
+from repro.grtree.specialize import numpy_available
 from repro.grtree.tree import GRTree
 from repro.server import DatabaseServer
 from repro.storage.buffer import BufferPool
@@ -48,7 +48,9 @@ SPEC_SPEEDUP_FLOOR = 2.0
 POOL_FRAMES = 96
 #: All timed tree-layer variants: the decode-every-read baseline, an
 #: eviction-heavy 8-frame pool, the default pool, and the default pool
-#: with compiled scan kernels.
+#: with compiled scan kernels.  Every tree is grown on the reference
+#: path (``_perf.reference_path``), and only ``spec`` queries with the
+#: kernels.
 TREE_CONFIGS = ("baseline", "8 frames", "default", "spec")
 
 SQL_ROUNDS = 5
@@ -84,9 +86,10 @@ def build_tree(config: str):
             update_fraction=0.1,
         ),
     )
-    start = time.perf_counter()
-    workload.run(tree, STEPS)
-    build_seconds = time.perf_counter() - start
+    with reference_path():
+        start = time.perf_counter()
+        workload.run(tree, STEPS)
+        build_seconds = time.perf_counter() - start
     queries = [workload.window_query(10, 10) for _ in range(QUERIES)]
     return tree, pool, workload, queries, build_seconds
 
@@ -104,10 +107,6 @@ def measure_tree_layer() -> dict:
     setups = {}
     for config in TREE_CONFIGS:
         tree, pool, workload, queries, build_seconds = build_tree(config)
-        if config == "spec":
-            # Same tree bytes, same pool; only the scan path is
-            # specialized (compiled + vectorized kernels).
-            tree.spec = SpecializedOps()
         setups[config] = {
             "tree": tree,
             "pool": pool,
@@ -120,7 +119,10 @@ def measure_tree_layer() -> dict:
     reference = None
     for config, setup in setups.items():
         tree, queries = setup["tree"], setup["queries"]
-        answers = [sorted(r for r, _ in tree.search_all(q)) for q in queries]
+        with reference_path(config != "spec"):
+            answers = [
+                sorted(r for r, _ in tree.search_all(q)) for q in queries
+            ]
         if reference is None:
             reference = answers
         assert answers == reference, (
@@ -132,17 +134,19 @@ def measure_tree_layer() -> dict:
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        for setup in setups.values():  # warm every cache, untimed
-            query_batch(setup["tree"], setup["queries"])
+        for config, setup in setups.items():  # warm every cache, untimed
+            with reference_path(config != "spec"):
+                query_batch(setup["tree"], setup["queries"])
         for round_no in range(ROUNDS):
             order = list(TREE_CONFIGS)
             rotation = round_no % len(order)
             order = order[rotation:] + order[:rotation]
             for config in order:
                 setup = setups[config]
-                rounds[config].append(
-                    query_batch(setup["tree"], setup["queries"])
-                )
+                with reference_path(config != "spec"):
+                    rounds[config].append(
+                        query_batch(setup["tree"], setup["queries"])
+                    )
             gc.collect()
     finally:
         if gc_was_enabled:
@@ -157,6 +161,11 @@ def measure_tree_layer() -> dict:
     pool = setups["default"]["pool"]
     decode_stats = {"decode_hits": pool.decode_hits, "decodes": pool.decodes}
     spec_stats = setups["spec"]["tree"].spec.stats.to_dict()
+    for config, setup in setups.items():
+        if config != "spec":
+            assert setup["tree"].spec.stats.nodes_batched == 0, (
+                f"configuration {config!r} ran the scan kernels"
+            )
     return {
         "workload": {
             "steps": STEPS,

@@ -5,14 +5,15 @@ on the small Perf-1 workload; this one isolates the specialization layer
 itself, at scale, on both hot paths:
 
 * **warm search** -- a 50k-entry bulk-loaded GR-tree, fully node-cached,
-  queried with window queries.  The same tree is timed with its
-  ``spec`` bundle attached and detached in interleaved rounds, so the
-  only difference is compiled-kernel batch evaluation vs the paper's
-  literal per-entry purpose-function sequence.  Gate:
+  queried with window queries.  The same tree is timed with its kernels
+  and on the reference path (numpy hidden from the kernels,
+  ``_perf.reference_path``) in interleaved rounds, so the only
+  difference is compiled-kernel batch evaluation vs the paper's literal
+  per-entry purpose-function sequence.  Gate:
   ``SPEC_SEARCH_FLOOR`` (>= 2x when numpy is available; the pure-Python
   fallback must merely not regress).
 * **insert path** -- two same-seed trees grown side by side, one
-  specialized and one generic.  The vectorized R* penalties must produce
+  specialized and one on the reference path.  The vectorized R* penalties must produce
   *byte-identical* pages (asserted) and must not be slower than the
   generic loop beyond noise.
 
@@ -28,9 +29,10 @@ import gc
 import statistics
 import time
 
+from _perf import reference_path
 from repro.grtree.bulk import bulk_load
 from repro.grtree.node import GRNodeStore
-from repro.grtree.specialize import SpecializedOps, numpy_available
+from repro.grtree.specialize import numpy_available
 from repro.grtree.tree import GRTree
 from repro.storage.buffer import BufferPool
 from repro.storage.pages import InMemoryPageStore
@@ -68,7 +70,10 @@ def build_big_tree():
     # Frames for every node: the pool keeps each one decoded.
     pool = BufferPool(InMemoryPageStore(page_size=PAGE_SIZE), capacity=4096)
     store = GRNodeStore(pool)
-    tree = bulk_load(store, clock, items)
+    # Loaded on the reference path, so the kernels' counters report
+    # only the timed searches.
+    with reference_path():
+        tree = bulk_load(store, clock, items)
     queries = [workload.window_query(40, 40) for _ in range(QUERIES)]
     return tree, items, queries
 
@@ -82,15 +87,13 @@ def query_batch(tree, queries) -> float:
 
 def measure_search() -> dict:
     tree, items, queries = build_big_tree()
-    spec = SpecializedOps()
 
-    # Correctness before speed: identical result sets with the bundle
-    # attached and detached, both matching the linear-scan oracle.
-    tree.spec = None
-    generic_answers = [
-        sorted(r for r, _ in tree.search_all(q)) for q in queries
-    ]
-    tree.spec = spec
+    # Correctness before speed: identical result sets with the kernels
+    # and on the reference path, both matching the linear-scan oracle.
+    with reference_path():
+        generic_answers = [
+            sorted(r for r, _ in tree.search_all(q)) for q in queries
+        ]
     spec_answers = [
         sorted(r for r, _ in tree.search_all(q)) for q in queries
     ]
@@ -108,18 +111,17 @@ def measure_search() -> dict:
     gc.disable()
     try:
         for mode in ("generic", "spec"):  # warm both paths, untimed
-            tree.spec = spec if mode == "spec" else None
-            query_batch(tree, queries)
+            with reference_path(mode == "generic"):
+                query_batch(tree, queries)
         for round_no in range(ROUNDS):
             order = ["generic", "spec"]
             if round_no % 2:
                 order.reverse()
             for mode in order:
-                tree.spec = spec if mode == "spec" else None
-                times[mode].append(query_batch(tree, queries))
+                with reference_path(mode == "generic"):
+                    times[mode].append(query_batch(tree, queries))
             gc.collect()
     finally:
-        tree.spec = spec
         if gc_was_enabled:
             gc.enable()
 
@@ -141,17 +143,17 @@ def measure_search() -> dict:
         "batch_seconds_generic_median": statistics.median(times["generic"]),
         "batch_seconds_specialized_median": statistics.median(times["spec"]),
         "warm_search_speedup": speedup,
-        "specializer_stats": spec.stats.to_dict(),
+        "specializer_stats": tree.spec.stats.to_dict(),
         "numpy_available": numpy_available(),
         "floor": SPEC_SEARCH_FLOOR if numpy_available() else NO_REGRESSION,
     }
 
 
-def grow_tree(spec) -> tuple:
+def grow_tree() -> tuple:
     clock = Clock(now=100)
     pool = BufferPool(InMemoryPageStore(page_size=1024), capacity=512)
     store = GRNodeStore(pool)
-    tree = GRTree.create(store, clock, time_horizon=20, spec=spec)
+    tree = GRTree.create(store, clock, time_horizon=20)
     workload = BitemporalWorkload(
         clock,
         WorkloadConfig(
@@ -165,30 +167,33 @@ def grow_tree(spec) -> tuple:
 
 
 def measure_insert() -> dict:
-    """Grow specialized and generic trees with the same seed; assert
-    byte-identical pages, compare wall-clock."""
+    """Grow same-seed trees with the kernels and on the reference path;
+    assert byte-identical pages, compare wall-clock."""
     times = {"generic": [], "spec": []}
     pages = {}
+    choices = {}
     for mode in ("generic", "spec"):
-        spec = SpecializedOps() if mode == "spec" else None
         round_times = []
-        for _ in range(INSERT_ROUNDS):
-            tree, pool, workload = grow_tree(spec)
-            gc_was_enabled = gc.isenabled()
-            gc.disable()
-            try:
-                start = time.perf_counter()
-                workload.run(tree, INSERT_STEPS)
-                round_times.append(time.perf_counter() - start)
-            finally:
-                if gc_was_enabled:
-                    gc.enable()
-                gc.collect()
+        with reference_path(mode == "generic"):
+            for _ in range(INSERT_ROUNDS):
+                tree, pool, workload = grow_tree()
+                gc_was_enabled = gc.isenabled()
+                gc.disable()
+                try:
+                    start = time.perf_counter()
+                    workload.run(tree, INSERT_STEPS)
+                    round_times.append(time.perf_counter() - start)
+                finally:
+                    if gc_was_enabled:
+                        gc.enable()
+                    gc.collect()
+            pages[mode] = {
+                node.page_id: pool.read(node.page_id)
+                for node in tree.iter_nodes()
+            }
         times[mode] = round_times
-        pages[mode] = {
-            node.page_id: pool.read(node.page_id)
-            for node in tree.iter_nodes()
-        }
+        choices[mode] = tree.spec.stats.choices_vectorized
+    assert choices["generic"] == 0, "the reference leg ran the kernels"
     assert pages["generic"] == pages["spec"], (
         "specialized insert path diverged from the generic tree bytes"
     )

@@ -31,7 +31,6 @@ from repro.datablade.supports import make_support_functions
 from repro.datablade.time_extent import TYPE_NAME
 from repro.grtree.cursor import Cursor
 from repro.grtree.node import GRNodeStore
-from repro.grtree.specialize import SpecializedOps
 from repro.grtree.tree import GRTree
 from repro.server.access_method import IndexDescriptor, RowReference
 from repro.server.errors import AccessMethodError
@@ -176,15 +175,6 @@ class GRTreeDataBlade(AccessMethodBlade):
             )
         self._trace("create", 4, "no equivalent index exists")
 
-    def option_spec(self):
-        """``specialize`` compiles specialized/vectorized kernels for the
-        index (see :mod:`repro.grtree.specialize`) -- off keeps the
-        paper's literal per-entry purpose-function call sequence."""
-        return {
-            **super().option_spec(),
-            "specialize": (self.server.specialize_indexes, 0),
-        }
-
     def build(self, td, pools, meta, options, obs) -> Dict[str, Any]:
         store = GRNodeStore(pools["blob"])
         if meta is None:
@@ -195,15 +185,8 @@ class GRTreeDataBlade(AccessMethodBlade):
             tree = GRTree.open(
                 store, self.server.clock, meta_page=meta["metapage"]
             )
-        if options["specialize"]:
-            # Specialize once per handle: the bundle (and every kernel
-            # compiled from it) lives and dies with the tree object, so
-            # the storage-epoch check that invalidates the handle cache
-            # invalidates the compiled code too.
-            tree.spec = SpecializedOps()
         if obs is not None:
-            if tree.spec is not None:
-                obs.attach("spec", self._obs_name(td.index_name, "blob"), tree.spec)
+            obs.attach("spec", self._obs_name(td.index_name, "blob"), tree.spec)
             tree.obs = obs
         return {"tree": tree, "store": store}
 

@@ -46,13 +46,9 @@ class Cursor:
         self.now = now
         # Specialize the scan: close predicate, query, and current time
         # into batch kernels once, here, instead of dispatching through
-        # Predicate per entry.  ``None`` (no bundle, or numpy
-        # unavailable) keeps the paper's literal per-entry tests.
-        spec = getattr(tree, "spec", None)
-        if spec is not None and spec.vectorized:
-            self._matcher = spec.compile_scan(predicate, query, now)
-        else:
-            self._matcher = None
+        # Predicate per entry.  ``None`` (numpy unavailable) keeps the
+        # paper's literal per-entry tests.
+        self._matcher = tree.spec.compile_scan(predicate, query, now)
         self._returned: Set[Tuple[int, int]] = set()
         self._visited: Set[int] = set()
         # The current leaf and its qualifying entries not yet looked at.

@@ -44,7 +44,7 @@ class GRNode:
     leaf: bool
     level: int = 0
     entries: List[GREntry] = field(default_factory=list)
-    #: Lazily built column mirror of ``entries`` for the vectorized path
+    #: Lazily built column mirror of ``entries`` for the tree's kernels
     #: (see :mod:`repro.grtree.specialize`).  Dropped on every store
     #: write -- all tree mutations pass through a write before the
     #: operation returns, so a non-``None`` value is always current.

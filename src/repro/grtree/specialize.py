@@ -32,12 +32,16 @@ arithmetic only, identical tie-breaking (stable argmin = first index
 with the smallest key), and identical error behaviour (any entry that
 would make the generic path raise routes the whole node back through the
 generic path, which raises the same exception).  Trees built with and
-without specialization are byte-identical on disk; the equivalence suite
+without the kernels are byte-identical on disk; the equivalence suite
 asserts it.
 
-When numpy is unavailable (or ``REPRO_NO_NUMPY`` is set), every entry
-point declines by returning ``None`` and the caller runs the paper's
-literal call sequence, so the Figure 6 traces are unchanged.
+Every :class:`~repro.grtree.tree.GRTree` owns a bundle, and each call
+picks its path from what it can observe: numpy is importable, the node
+has at least :data:`MIN_BATCH` entries, and no entry decodes empty.
+Otherwise the entry point declines by returning ``None`` and the caller
+runs the paper's literal per-entry call sequence -- the only path on a
+host without numpy (``REPRO_NO_NUMPY`` emulates one), and the reference
+the tests hold the kernels against.
 """
 
 from __future__ import annotations
@@ -50,8 +54,8 @@ from repro.temporal.chronon import Chronon
 from repro.temporal.regions import Region
 from repro.temporal.variables import NOW, UC
 
-#: Environment switch forcing the pure-Python fallback even when numpy
-#: is importable (CI uses it to prove the fallback path stays green).
+#: Environment variable that hides numpy from this module, emulating a
+#: host without it (CI runs the whole suite so).
 NO_NUMPY_ENV = "REPRO_NO_NUMPY"
 
 #: On-array encoding of the variables UC and NOW (matches the on-disk
@@ -359,7 +363,7 @@ class ScanMatcher:
         """Indices of qualifying leaf entries, or ``None`` to decline
         (generic loop takes over, preserving exact error behaviour)."""
         spec = self.spec
-        np = spec.np
+        np = _np
         if np is None or len(node.entries) < MIN_BATCH:
             return None
         resolved = _resolve(np, spec.columns(node), self.now)
@@ -374,7 +378,7 @@ class ScanMatcher:
         """Boolean qualification mask over an internal node's entries,
         or ``None`` to decline."""
         spec = self.spec
-        np = spec.np
+        np = _np
         if np is None or len(node.entries) < MIN_BATCH:
             return None
         cols = spec.columns(node)
@@ -393,27 +397,21 @@ class ScanMatcher:
 
 
 class SpecializedOps:
-    """The specialization bundle attached to a :class:`GRTree`.
+    """The kernel bundle every :class:`GRTree` builds for itself.
 
-    Built once per blade handle (``CREATE INDEX`` / ``grt_open``) and
-    cached with it -- the blade's ``storage_epoch`` check invalidates
-    the handle, the tree, and this bundle together.  Every entry point
-    either returns an exact result or ``None`` (caller falls back to the
-    generic code path).
+    It lives and dies with its tree, so the blade's ``storage_epoch``
+    check that rebuilds a handle's tree rebuilds the bundle too.  Every
+    entry point either returns an exact result or ``None`` (no numpy, a
+    node below :data:`MIN_BATCH`, or an entry that decodes empty): the
+    caller then runs the generic per-entry code path.
     """
 
-    def __init__(self, use_numpy: Optional[bool] = None) -> None:
-        if use_numpy is None:
-            self.np = _np
-        elif use_numpy:
-            self.np = _np  # requested but unavailable -> scalar fallback
-        else:
-            self.np = None
+    def __init__(self) -> None:
         self.stats = SpecStats()
 
     @property
     def vectorized(self) -> bool:
-        return self.np is not None
+        return _np is not None
 
     # -- column plumbing ----------------------------------------------
 
@@ -422,15 +420,18 @@ class SpecializedOps:
         cols = node.cols
         if cols is not None and cols.n == len(node.entries):
             return cols
-        cols = NodeColumns(node.entries, self.np)
+        cols = NodeColumns(node.entries, _np)
         node.cols = cols
         return cols
 
     # -- scan compilation ---------------------------------------------
 
     def compile_scan(self, predicate: Predicate, query: Region,
-                     now: Chronon) -> ScanMatcher:
-        """Close the predicate, query, and current time into kernels."""
+                     now: Chronon) -> Optional[ScanMatcher]:
+        """Close the predicate, query, and current time into kernels,
+        or ``None`` without numpy."""
+        if _np is None:
+            return None
         self.stats.scans_compiled += 1
         return ScanMatcher(self, predicate, query, now)
 
@@ -440,7 +441,7 @@ class SpecializedOps:
                                t: Chronon) -> Optional[int]:
         """Index of the entry with the R* least-area-enlargement key,
         or ``None`` to decline."""
-        np = self.np
+        np = _np
         if np is None or len(node.entries) < MIN_BATCH:
             return None
         resolved = _resolve(np, self.columns(node), t)
@@ -460,7 +461,7 @@ class SpecializedOps:
                                   t: Chronon) -> Optional[int]:
         """Index of the entry with the R* least-overlap-enlargement key
         (overlap delta, area delta, area), or ``None`` to decline."""
-        np = self.np
+        np = _np
         if np is None or len(node.entries) < MIN_BATCH:
             return None
         resolved = _resolve(np, self.columns(node), t)
@@ -488,21 +489,18 @@ class SpecializedOps:
 
     # -- bounding ------------------------------------------------------
 
-    def bound(self, entries: Sequence[GREntry], now: Chronon,
-              node=None) -> Optional[GREntry]:
-        """Vectorized :func:`bound_entries`, or ``None`` to decline.
+    def bound(self, node, now: Chronon) -> Optional[GREntry]:
+        """Vectorized :func:`bound_entries` over *node*'s entries, or
+        ``None`` to decline.
 
         Bit-exact: same timestamps, same ``Rectangle``/``Hidden`` flags,
         and the same ``ValueError`` (via fallback) on a ground ``TTend``
         beyond the current time.
         """
-        np = self.np
-        if np is None or len(entries) < MIN_BATCH:
+        np = _np
+        if np is None or len(node.entries) < MIN_BATCH:
             return None
-        if node is not None and node.entries is entries:
-            cols = self.columns(node)
-        else:
-            cols = NodeColumns(entries, np)
+        cols = self.columns(node)
         ground_tte = cols.tt_end != SENTINEL
         if bool((ground_tte & (cols.tt_end > now)).any()):
             return None  # generic bound_entries raises the documented error

@@ -17,8 +17,10 @@ hooks where the GR-tree differs:
   development over time of entries": a growing region is charged for
   the space it is *going to* occupy, not just the space it occupies
   today; the deletion descent tests containment at ``now``;
-* the least-area and least-overlap penalties take the vectorized path of
-  an attached :mod:`~repro.grtree.specialize` bundle when it accepts;
+* the least-area and least-overlap penalties and the parent bounds take
+  the tree's own :mod:`~repro.grtree.specialize` kernels whenever they
+  accept (numpy present, a node of at least ``MIN_BATCH`` entries, none
+  decoding empty), and the paper's per-entry loops otherwise;
 * root, height, size and horizon live on a meta page, rewritten after
   every insert, delete and root growth;
 * the walker additionally checks containment at two times and the
@@ -42,6 +44,7 @@ from repro.grtree.entries import (
     same_timestamps,
 )
 from repro.grtree.node import GRNode, GRNodeStore
+from repro.grtree.specialize import SpecializedOps
 from repro.rtree.rstar import RStarTree
 from repro.temporal.chronon import Chronon, Clock
 from repro.temporal.extent import TimeExtent
@@ -76,18 +79,15 @@ class GRTree(RStarTree):
         height: int = 1,
         size: int = 0,
         obs=None,
-        spec=None,
     ) -> None:
         self.clock = clock
         #: Optional observability hub; ``None`` keeps the hot paths at a
         #: single attribute test (the benchmarked configuration).
         self.obs = obs
-        #: Optional :class:`~repro.grtree.specialize.SpecializedOps`
-        #: bundle; ``None`` runs the paper's literal per-entry call
-        #: sequence everywhere.  The bundle only ever *replaces* work
-        #: with bit-exact vectorized equivalents (or declines with
-        #: ``None``), so toggling it mid-life is safe.
-        self.spec = spec
+        #: The tree's kernel bundle.  It only ever *replaces* work with
+        #: bit-exact vectorized equivalents, or declines with ``None``
+        #: and leaves the paper's literal per-entry call sequence to run.
+        self.spec = SpecializedOps()
         self.time_horizon = time_horizon
         self.meta_page = meta_page
         super().__init__(store, min_fill, reinsert_fraction, root_id, height, size)
@@ -158,27 +158,23 @@ class GRTree(RStarTree):
 
     def _parent_entry(self, node: GRNode) -> GREntry:
         """Bounding entry for *node*'s entries at the current time."""
-        bound = None
-        if self.spec is not None:
-            bound = self.spec.bound(node.entries, self.now, node=node)
+        bound = self.spec.bound(node, self.now)
         if bound is None:
             bound = bound_entries(node.entries, self.now)
         bound.child = node.page_id
         return bound
 
     def _least_area_enlargement(self, node: GRNode, region: Region) -> int:
-        if self.spec is not None:
-            best = self.spec.least_area_enlargement(node, region, self._eval_time)
-            if best is not None:
-                return best
+        best = self.spec.least_area_enlargement(node, region, self._eval_time)
+        if best is not None:
+            return best
         return super()._least_area_enlargement(node, region)
 
     def _least_overlap_enlargement(self, node: GRNode, region: Region) -> int:
         t = self._eval_time
-        if self.spec is not None:
-            best = self.spec.least_overlap_enlargement(node, region, t)
-            if best is not None:
-                return best
+        best = self.spec.least_overlap_enlargement(node, region, t)
+        if best is not None:
+            return best
         regions = self._keys(node.entries)
         n = len(regions)
         areas = [r.area() for r in regions]

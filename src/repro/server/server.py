@@ -46,7 +46,6 @@ class DatabaseServer:
         page_size: int = 2048,
         buffer_capacity: int = 64,
         statement_cache_size: int = 64,
-        specialize_indexes: bool = True,
         faults=None,
     ) -> None:
         self.clock = clock if clock is not None else Clock(granularity=granularity)
@@ -56,9 +55,6 @@ class DatabaseServer:
         self.buffer_capacity = buffer_capacity
         #: Parsed-statement cache bound (0 disables caching).
         self.statement_cache_size = statement_cache_size
-        #: Default for per-index specialized/vectorized kernels; a
-        #: ``CREATE INDEX ... WITH (specialize = ...)`` clause overrides.
-        self.specialize_indexes = specialize_indexes
         self.types = TypeRegistry(self.clock.granularity)
         self.catalog = SystemCatalog(self.types)
         self.library = SharedLibraryRegistry()

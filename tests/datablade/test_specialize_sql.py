@@ -1,17 +1,14 @@
-"""The SQL surface of the specialization layer.
+"""The SQL surface of the GR-tree kernels.
 
-``CREATE INDEX ... WITH (specialize = ...)`` is the per-opclass switch
-the ISSUE asks for: on by default, overridable per index, overridable
-per server (``DatabaseServer(specialize_indexes=False)``), and visible
-in ``SHOW STATS``.  Answers must not depend on the switch.
+Every ``grtree_am`` index runs its tree's kernels whenever numpy is
+importable; there is no switch.  What SQL sees of them is ``SHOW
+STATS``: the bundle's counters, exported under ``spec.index.<name>``,
+following the bundle when a handle is rebuilt.
 """
-
-import pytest
 
 from repro.datablade import register_grtree_blade
 from repro.grtree.specialize import numpy_available
 from repro.server import DatabaseServer
-from repro.server.errors import AccessMethodError
 from repro.temporal.chronon import Clock, format_chronon
 
 
@@ -19,14 +16,12 @@ def day(chronon):
     return format_chronon(chronon)
 
 
-def make_server(with_clause="", **server_kwargs):
-    server = DatabaseServer(clock=Clock(now=100), **server_kwargs)
+def make_server():
+    server = DatabaseServer(clock=Clock(now=100))
     server.create_sbspace("spc")
     blade = register_grtree_blade(server)
     server.execute("CREATE TABLE t (name LVARCHAR, te GRT_TimeExtent_t)")
-    server.execute(
-        f"CREATE INDEX gi ON t(te) USING grtree_am IN spc {with_clause}"
-    )
+    server.execute("CREATE INDEX gi ON t(te) USING grtree_am IN spc")
     server.prefer_virtual_index = True
     return server, blade
 
@@ -39,60 +34,10 @@ def populate(server, count=30):
         )
 
 
-def handle_tree(blade):
-    return blade._handles["gi"]["tree"]
-
-
 QUERY = (
     "SELECT name FROM t WHERE "
     f"Overlaps(te, '{day(100)}, UC, {day(95)}, NOW')"
 )
-
-
-class TestSpecializeSwitch:
-    def test_default_attaches_bundle(self):
-        server, blade = make_server()
-        populate(server)
-        tree = handle_tree(blade)
-        assert tree.spec is not None
-        assert tree.spec.vectorized == numpy_available()
-
-    def test_with_off_detaches_bundle(self):
-        server, blade = make_server("WITH (specialize = 'off')")
-        populate(server)
-        assert handle_tree(blade).spec is None
-        assert len(server.execute(QUERY)) == 30
-
-    def test_answers_do_not_depend_on_switch(self):
-        expected = None
-        for clause in ("WITH (specialize = 'on')", "WITH (specialize = 0)"):
-            server, _ = make_server(clause)
-            populate(server)
-            rows = sorted(row["name"] for row in server.execute(QUERY))
-            if expected is None:
-                expected = rows
-            assert rows == expected
-
-    def test_invalid_value_rejected(self):
-        server = DatabaseServer(clock=Clock(now=100))
-        server.create_sbspace("spc")
-        register_grtree_blade(server)
-        server.execute("CREATE TABLE t (name LVARCHAR, te GRT_TimeExtent_t)")
-        with pytest.raises(AccessMethodError, match="specialize expects"):
-            server.execute(
-                "CREATE INDEX gi ON t(te) USING grtree_am IN spc "
-                "WITH (specialize = 'maybe')"
-            )
-
-    def test_server_default_off_and_per_index_override(self):
-        server, blade = make_server(
-            "WITH (specialize = 'on')", specialize_indexes=False
-        )
-        populate(server, 5)
-        assert handle_tree(blade).spec is not None  # WITH wins
-        server2, blade2 = make_server(specialize_indexes=False)
-        populate(server2, 5)
-        assert handle_tree(blade2).spec is None  # server default applies
 
 
 class TestSpecializeObservability:

@@ -70,9 +70,7 @@ class CrashHarness:
     churning so page-level failpoints are traversed often.
     """
 
-    def __init__(
-        self, now: int = 100, specialize: bool = True, ship: bool = False
-    ) -> None:
+    def __init__(self, now: int = 100, ship: bool = False) -> None:
         self.registry = FaultRegistry()
         self.server = DatabaseServer(clock=Clock(now=now), faults=self.registry)
         if ship:
@@ -85,8 +83,7 @@ class CrashHarness:
         self.server.execute("CREATE TABLE t (name LVARCHAR, te GRT_TimeExtent_t)")
         self.server.execute(
             "CREATE INDEX gi ON t(te) USING grtree_am IN spc "
-            "WITH (buffer_capacity = 8, "
-            f"specialize = '{'on' if specialize else 'off'}')"
+            "WITH (buffer_capacity = 8)"
         )
         self.server.prefer_virtual_index = True
         self.session = self.server.create_session()

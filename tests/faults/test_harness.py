@@ -12,6 +12,17 @@ from tests.faults.harness import (
     random_workload,
     scripted_workload,
 )
+from tests.kernels import assert_kernels, assert_scalar, scalar_path
+
+
+def spec_counters(harness) -> dict:
+    """The counters of the index's kernel bundle, as SHOW STATS has them."""
+    prefix = "spec.index.gi."
+    return {
+        name[len(prefix):]: value
+        for name, value in harness.server.obs.metrics.snapshot().items()
+        if name.startswith(prefix)
+    }
 
 
 class TestHealthyBaseline:
@@ -119,19 +130,28 @@ class TestRandomizedCrashes:
         assert run() == run()
 
     def test_specialize_knob_does_not_change_crash_history(self):
-        """Crash, recover, verify with the specialization bundle on and
-        off: same outcomes, same survivors (bit-exactness under WAL
-        replay, not just under clean growth)."""
+        """Crash, recover, verify with the GR-tree kernels and on the
+        per-entry reference path: same outcomes, same survivors
+        (bit-exactness under WAL replay, not just under clean growth).
+        The reference leg covers the index handle rebuilt after
+        recovery too: no kernel works before or after it."""
 
-        def run(specialize):
-            harness = CrashHarness(specialize=specialize)
+        def run():
+            harness = CrashHarness()
             harness.arm("wal.append", "crash", hit=60)
             outcomes = random_workload(harness, seed=13, steps=40)
+            before = spec_counters(harness)
             harness.recover()
             harness.verify()
-            return outcomes, sorted(harness.committed)
+            return (outcomes, sorted(harness.committed)), before, spec_counters(harness)
 
-        assert run(True) == run(False)
+        kernel, _, after = run()
+        assert_kernels(after, ("nodes_batched",))
+        with scalar_path():
+            scalar, before, after = run()
+        assert_scalar(before)
+        assert_scalar(after)
+        assert kernel == scalar
 
 
 class TestVerifierCatchesDamage:

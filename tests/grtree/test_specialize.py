@@ -7,8 +7,8 @@ penalties against the literal loop the tree falls back to, and the
 vectorized bound against :func:`bound_entries` -- same index, same
 timestamps, same flags, for the same entry lists.  The decline contract
 (``None`` routes the node back through the generic path) is pinned down
-explicitly: no numpy, small nodes, and entries the generic path would
-raise on.
+explicitly: no numpy (:func:`tests.kernels.scalar_path` hides it), small
+nodes, and entries the generic path would raise on.
 """
 
 import pytest
@@ -24,6 +24,7 @@ from repro.grtree.specialize import (
 from repro.temporal.variables import NOW, UC
 
 from tests.grtree.test_properties import leaf_entries, internal_entries
+from tests.kernels import assert_scalar, scalar_path
 
 NOW_BASE = 100
 
@@ -208,7 +209,7 @@ class TestBound:
     @settings(max_examples=400, deadline=None)
     def test_bound_matches_bound_entries_exactly(self, entries, now):
         spec = SpecializedOps()
-        got = spec.bound(entries, now)
+        got = spec.bound(FakeNode(entries), now)
         assert got is not None
         expected = bound_entries(entries, now)
         assert (
@@ -234,7 +235,7 @@ class TestBound:
             GREntry(50, NOW_BASE + 5, 40, 60) for _ in range(MIN_BATCH)
         ]
         spec = SpecializedOps()
-        assert spec.bound(entries, NOW_BASE) is None
+        assert spec.bound(FakeNode(entries), NOW_BASE) is None
         with pytest.raises(ValueError):
             bound_entries(entries, NOW_BASE)
 
@@ -249,17 +250,17 @@ class TestDecline:
         return [GREntry(50 + i, UC, 40, NOW) for i in range(n)]
 
     def test_scalar_bundle_declines_everything(self):
-        spec = SpecializedOps(use_numpy=False)
-        assert not spec.vectorized
+        spec = SpecializedOps()
         entries = self._entries()
         node = FakeNode(entries)
         query = entries[0].region(NOW_BASE)
-        matcher = spec.compile_scan(Predicate.OVERLAPS, query, NOW_BASE)
-        assert matcher.leaf_matches(node) is None
-        assert matcher.internal_mask(node) is None
-        assert spec.least_area_enlargement(node, query, NOW_BASE) is None
-        assert spec.least_overlap_enlargement(node, query, NOW_BASE) is None
-        assert spec.bound(entries, NOW_BASE) is None
+        with scalar_path():
+            assert not spec.vectorized
+            assert spec.compile_scan(Predicate.OVERLAPS, query, NOW_BASE) is None
+            assert spec.least_area_enlargement(node, query, NOW_BASE) is None
+            assert spec.least_overlap_enlargement(node, query, NOW_BASE) is None
+            assert spec.bound(node, NOW_BASE) is None
+        assert_scalar(spec.stats)
 
     @needs_numpy
     def test_small_nodes_decline(self):
@@ -270,7 +271,7 @@ class TestDecline:
         matcher = spec.compile_scan(Predicate.OVERLAPS, query, NOW_BASE)
         assert matcher.leaf_matches(node) is None
         assert spec.least_area_enlargement(node, query, NOW_BASE) is None
-        assert spec.bound(entries, NOW_BASE) is None
+        assert spec.bound(node, NOW_BASE) is None
 
     @needs_numpy
     def test_empty_region_entry_declines_scan(self):

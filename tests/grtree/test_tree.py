@@ -1,5 +1,6 @@
 """Tests for the GR-tree: inserts, growth, searches, deletion, cursors."""
 
+import contextlib
 import random
 
 import pytest
@@ -7,7 +8,6 @@ import pytest
 from repro.grtree.cursor import Cursor
 from repro.grtree.entries import GREntry, Predicate
 from repro.grtree.node import GRNodeStore
-from repro.grtree.specialize import SpecializedOps
 from repro.grtree.tree import GRTree
 from repro.grtree.bulk import bulk_delete, bulk_load
 from repro.storage.buffer import BufferPool
@@ -15,6 +15,8 @@ from repro.storage.pages import InMemoryPageStore
 from repro.temporal.chronon import Clock
 from repro.temporal.extent import TimeExtent
 from repro.temporal.variables import NOW, UC
+
+from tests.kernels import assert_kernels, assert_scalar, scalar_path
 
 
 def make_tree(page_size=512, now=100, **kwargs):
@@ -289,14 +291,20 @@ class TestCursor:
     @pytest.fixture(params=[True, False], ids=["kernel", "scalar"])
     def leaf(self, request):
         """A one-leaf tree of twelve qualifying entries (enough for the
-        batch kernel), and its entries by rowid."""
-        spec = SpecializedOps() if request.param else None
-        tree, clock = make_tree(page_size=1024, spec=spec)
-        extents = {i: TimeExtent(100, UC, 90 - i, NOW) for i in range(12)}
-        for rowid, extent in extents.items():
-            tree.insert(extent, rowid)
-        assert tree.height == 1
-        return tree, extents
+        batch kernel), and its entries by rowid; the scalar leg runs the
+        whole test on the reference path."""
+        kernel = request.param
+        with contextlib.nullcontext() if kernel else scalar_path():
+            tree, clock = make_tree(page_size=1024)
+            extents = {i: TimeExtent(100, UC, 90 - i, NOW) for i in range(12)}
+            for rowid, extent in extents.items():
+                tree.insert(extent, rowid)
+            assert tree.height == 1
+            yield tree, extents
+        if kernel:
+            assert_kernels(tree.spec.stats, ("nodes_batched",))
+        else:
+            assert_scalar(tree.spec.stats)
 
     def drain(self, cursor):
         return [entry.rowid for entry in cursor.fetch_all()]

@@ -33,7 +33,6 @@ from repro.gist.extensions import (
 from repro.gist.tree import GiST, GistNodeStore
 from repro.grtree.entries import Predicate
 from repro.grtree.node import GRNodeStore
-from repro.grtree.specialize import SpecializedOps
 from repro.grtree.tree import GRTree
 from repro.rtree.geometry import Rect
 from repro.rtree.guttman import GuttmanRTree
@@ -44,6 +43,8 @@ from repro.storage.pages import InMemoryPageStore
 from repro.temporal.chronon import Clock
 from repro.temporal.extent import TimeExtent
 from repro.temporal.variables import NOW, UC
+
+from tests.kernels import assert_kernels, assert_scalar, scalar_path
 
 
 def _sha(value) -> str:
@@ -158,14 +159,13 @@ def _extent(rng, now: int) -> TimeExtent:
     return TimeExtent(now, UC, vt_begin, vt_begin + rng.randint(0, 30))
 
 
-def _grtree_record(spec: bool) -> dict:
+def _grtree_record() -> tuple:
+    """The GR-tree's record, and its kernel bundle's counters."""
     rng = random.Random(1999)
     clock = Clock(now=100)
     pool = BufferPool(InMemoryPageStore(page_size=512), capacity=12)
     store = GRNodeStore(pool)
-    tree = GRTree.create(
-        store, clock, time_horizon=20, spec=SpecializedOps() if spec else None
-    )
+    tree = GRTree.create(store, clock, time_horizon=20)
     live = {}
     frozen = {}
     next_id = 0
@@ -206,7 +206,7 @@ def _grtree_record(spec: bool) -> dict:
         assert tree.delete(survivors[rowid], rowid)
     assert tree.height < peak_height, "the workload must shrink the root"
     answers.append([sorted(tree.search_all(q)) for q in queries])
-    return _record(tree, pool, answers)
+    return _record(tree, pool, answers), tree.spec.stats
 
 
 # ----------------------------------------------------------------------
@@ -279,8 +279,15 @@ def test_guttman_tree_is_pinned():
 
 @pytest.mark.parametrize("spec", [True, False], ids=["spec", "generic"])
 def test_grtree_is_pinned(spec):
-    """Specialization never changes a byte or an I/O."""
-    assert _grtree_record(spec) == EXPECTED["grtree"]
+    """The kernels never change a byte or an I/O."""
+    if spec:
+        record, stats = _grtree_record()
+        assert_kernels(stats)
+    else:
+        with scalar_path():
+            record, stats = _grtree_record()
+        assert_scalar(stats)
+    assert record == EXPECTED["grtree"]
 
 
 def test_gist_rect_tree_is_pinned():

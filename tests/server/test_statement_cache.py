@@ -79,10 +79,10 @@ class TestStatementCache:
 class TestCreateIndexWith:
     def test_with_clause_parses_into_parameters(self):
         stmt = ast.parse(
-            "CREATE INDEX gi ON e(te) USING grtree_am IN spc "
-            "WITH (buffer_capacity = 8, specialize = 0)"
+            "CREATE INDEX hi ON e(k) USING hblade_am IN spc "
+            "WITH (buffer_capacity = 8, hash_path = 0)"
         )
-        assert stmt.parameters == {"buffer_capacity": 8, "specialize": 0}
+        assert stmt.parameters == {"buffer_capacity": 8, "hash_path": 0}
 
     def test_with_clause_sizes_the_caches(self, server):
         server.execute(
