@@ -62,13 +62,7 @@ class BladeBlob:
         if self._open_mode is None:
             raise AccessMethodError(f"{self.handle} is not open")
         # Re-acquire at exclusive strength (upgrade by the sole holder).
-        self.space.open(
-            self.handle,
-            OpenMode.WRITE,
-            txn_id=self._txn_id,
-            isolation=self._isolation,
-        )
-        self.space.stats_opens -= 1  # an upgrade, not a second open
+        self.space.lock(self.handle, OpenMode.WRITE, self._txn_id, self._isolation)
         self._open_mode = OpenMode.WRITE
 
     def close(self) -> None:

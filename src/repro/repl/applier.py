@@ -202,55 +202,17 @@ class ReplicationApplier:
         self.counters["rows_applied"] += len(rows)
 
     def _apply_row(self, record: LogRecord, session) -> None:
+        """Redo one row record through the executor's row writer, at the
+        primary's rowid."""
         server = self.db
-        executor = server.executor
         table = server.catalog.get_table(record.table)
-        indices = list(server.catalog.indices_on(table.name))
-        if record.kind is RecordKind.ROW_INSERT:
-            values = self._import_row(table, record.row)
-            row = table.put_row(record.rowid, values)
-            self._index_op(executor, indices, "am_insert", session, row, record.rowid)
-        elif record.kind is RecordKind.ROW_DELETE:
-            row = table.delete_row(record.rowid)
-            self._index_op(executor, indices, "am_delete", session, row, record.rowid)
-        else:  # ROW_UPDATE
-            old = dict(table.fetch(record.rowid))
-            new = table.put_row(record.rowid, self._import_row(table, record.row))
-            for info in indices:
-                old_key = executor._indexed_row(info, old)
-                new_key = executor._indexed_row(info, new)
-                if old_key == new_key:
-                    continue
-                am = server.catalog.access_methods.get(info.am_name)
-                td = executor._descriptor(info, session)
-                executor.call_purpose(am, "am_open", td)
-                try:
-                    executor.call_purpose(
-                        am, "am_update", td, old_key, record.rowid,
-                        new_key, record.rowid,
-                    )
-                finally:
-                    executor.call_purpose(am, "am_close", td)
-
-    @staticmethod
-    def _import_row(table, wire_row: dict) -> dict:
-        return {
-            column.name: column.data_type.import_text(wire_row[column.name])
-            for column in table.columns
-        }
-
-    def _index_op(self, executor, indices, slot, session, row, rowid) -> None:
-        server = self.db
-        for info in indices:
-            am = server.catalog.access_methods.get(info.am_name)
-            td = executor._descriptor(info, session)
-            executor.call_purpose(am, "am_open", td)
-            try:
-                executor.call_purpose(
-                    am, slot, td, executor._indexed_row(info, row), rowid
-                )
-            finally:
-                executor.call_purpose(am, "am_close", td)
+        with server.executor.writing(table, session) as writer:
+            if record.kind is RecordKind.ROW_INSERT:
+                writer.insert(table.import_row(record.row), record.rowid)
+            elif record.kind is RecordKind.ROW_DELETE:
+                writer.delete(record.rowid)
+            else:  # ROW_UPDATE
+                writer.update(record.rowid, table.import_row(record.row))
 
     # ------------------------------------------------------------------
     # Recovery

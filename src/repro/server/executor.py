@@ -4,7 +4,9 @@ The executor turns parsed statements into catalog changes and data-flow,
 invoking access-method purpose functions in exactly the order of the
 paper's Figure 6:
 
-* ``INSERT``:  ``am_open`` -> ``am_insert`` -> ``am_close``
+* ``INSERT``:  ``am_open`` -> ``am_insert`` -> ``am_close``; every row
+  write (UPDATE, DELETE, LOAD, CREATE INDEX's backfill and replica apply
+  too) takes this shape through one writer, :meth:`Executor.writing`
 * ``SELECT`` (virtual index chosen): ``am_open`` -> ``am_beginscan`` ->
   ``am_getnext`` (repeated, each call a batch of up to ``NIOROWS`` rows,
   until one returns none) -> ``am_endscan`` -> ``am_close``
@@ -15,7 +17,8 @@ functions run as ordinary UDRs against every row.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from contextlib import contextmanager
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.server import sql as ast
 from repro.server.access_method import (
@@ -78,40 +81,6 @@ class Executor:
     # ------------------------------------------------------------------
     # Replication hooks
     # ------------------------------------------------------------------
-
-    def _export_row(self, table: Table, row: Dict[str, Any]) -> Dict[str, str]:
-        """Render a heap row to wire text, one field per column (the
-        same support functions LOAD/UNLOAD use)."""
-        return {
-            column.name: column.data_type.export_text(row[column.name])
-            for column in table.columns
-        }
-
-    def _log_row(
-        self,
-        session,
-        kind: str,
-        table: Table,
-        rowid: int,
-        row: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        """Append a logical row record for replication (no-op unless the
-        WAL is shipping).  Runs inside the statement's transaction, so a
-        later abort makes replicas discard the record."""
-        wal = self.server.wal
-        if not wal.ship_rows or self.server.repl_applying:
-            return
-        txn_id = session.transaction.txn_id
-        if kind == "insert":
-            wal.log_row_insert(
-                txn_id, table.name, rowid, self._export_row(table, row)
-            )
-        elif kind == "delete":
-            wal.log_row_delete(txn_id, table.name, rowid)
-        else:
-            wal.log_row_update(
-                txn_id, table.name, rowid, self._export_row(table, row)
-            )
 
     def _check_staleness(self, session) -> None:
         """Enforce the session's ``SET READ STALENESS`` bound (replicas)."""
@@ -187,6 +156,40 @@ class Executor:
         info.descriptor.session = session
         return info.descriptor
 
+    @contextmanager
+    def writing(
+        self, table: Table, session, indices: Optional[Sequence[IndexInfo]] = None
+    ) -> Iterator["RowWriter"]:
+        """Figure 6(a) for a whole statement: ``am_open`` on each index of
+        *table* (or on *indices*), the yielded :class:`RowWriter`'s row
+        operations, then ``am_close`` on every index that opened."""
+        writer = RowWriter(self, table, session)
+        if indices is None:
+            indices = self.server.catalog.indices_on(table.name)
+        try:
+            for info in indices:
+                am = self.server.catalog.access_methods.get(info.am_name)
+                td = self._descriptor(info, session)
+                self.call_purpose(am, "am_open", td)
+                writer.opened.append((info, am, td))
+            yield writer
+        finally:
+            for _, am, td in writer.opened:
+                self.call_purpose(am, "am_close", td)
+
+    def _bind(self, table: Table, pairs) -> Dict[str, Any]:
+        """(column name, literal) pairs as column values: a quoted
+        literal goes through its column type's *input* function."""
+        values: Dict[str, Any] = {}
+        for name, literal in pairs:
+            column = table.column(name)
+            values[column.name] = (
+                column.data_type.input(literal.text)
+                if literal.is_string
+                else literal.python_value
+            )
+        return values
+
     def estimate_scan_cost(self, info: IndexInfo, qualification) -> float:
         """``am_scancost`` when provided, else an optimistic default."""
         am = self.server.catalog.access_methods.get(info.am_name)
@@ -198,9 +201,6 @@ class Executor:
             if cost is not None:
                 return float(cost)
         return 2.0
-
-    def _indexed_row(self, info: IndexInfo, row: Dict[str, Any]) -> Tuple[Any, ...]:
-        return tuple(row[c] for c in info.columns)
 
     # ------------------------------------------------------------------
     # DDL
@@ -320,14 +320,9 @@ class Executor:
         try:
             with session.autocommit():
                 self.call_purpose(am, "am_create", td)
-                self.call_purpose(am, "am_open", td)
-                try:
+                with self.writing(table, session, [info]) as writer:
                     for rowid, row in table.scan():
-                        self.call_purpose(
-                            am, "am_insert", td, self._indexed_row(info, row), rowid
-                        )
-                finally:
-                    self.call_purpose(am, "am_close", td)
+                        writer.add_entries(rowid, row)
         except Exception:
             self.server.catalog.drop_index(stmt.name)
             raise
@@ -354,29 +349,9 @@ class Executor:
                 f"INSERT has {len(stmt.values)} values for "
                 f"{len(column_names)} columns"
             )
-        values: Dict[str, Any] = {}
-        for name, literal in zip(column_names, stmt.values):
-            column = table.column(name)
-            values[column.name] = (
-                column.data_type.input(literal.text)
-                if literal.is_string
-                else literal.python_value
-            )
-        with session.autocommit():
-            rowid = table.insert_row(values)
-            row = table.fetch(rowid)
-            self._log_row(session, "insert", table, rowid, row)
-            for info in self.server.catalog.indices_on(table.name):
-                am = self.server.catalog.access_methods.get(info.am_name)
-                td = self._descriptor(info, session)
-                # Figure 6(a): am_open, am_insert, am_close.
-                self.call_purpose(am, "am_open", td)
-                try:
-                    self.call_purpose(
-                        am, "am_insert", td, self._indexed_row(info, row), rowid
-                    )
-                finally:
-                    self.call_purpose(am, "am_close", td)
+        values = self._bind(table, zip(column_names, stmt.values))
+        with session.autocommit(), self.writing(table, session) as writer:
+            writer.insert(values)
         return 1
 
     def _select(self, stmt: ast.Select, session) -> List[Dict[str, Any]]:
@@ -422,7 +397,9 @@ class Executor:
             return results
         # Figure 6(b): am_open, am_beginscan, am_getnext*, am_endscan,
         # am_close.
-        info, am, td = self._open_index(plan.index, session)
+        am = self.server.catalog.access_methods.get(plan.index.am_name)
+        td = self._descriptor(plan.index, session)
+        self.call_purpose(am, "am_open", td)
         sd = ScanDescriptor(td, plan.qualification, niorows=NIOROWS)
         self.call_purpose(am, "am_beginscan", sd)
         try:
@@ -442,67 +419,23 @@ class Executor:
             self.call_purpose(am, "am_close", td)
         return results
 
-    def _open_index(self, info: IndexInfo, session):
-        am = self.server.catalog.access_methods.get(info.am_name)
-        td = self._descriptor(info, session)
-        self.call_purpose(am, "am_open", td)
-        return info, am, td
-
     def _delete(self, stmt: ast.Delete, session) -> int:
         table = self.server.catalog.get_table(stmt.table)
         with session.autocommit():
             victims = self._scan_rows(table, stmt.where, session)
-            indices = [
-                (info, *self._open_index(info, session)[1:])
-                for info in self.server.catalog.indices_on(table.name)
-            ]
-            try:
-                for rowid, row in victims:
-                    table.delete_row(rowid)
-                    self._log_row(session, "delete", table, rowid)
-                    for info, am, td in indices:
-                        self.call_purpose(
-                            am,
-                            "am_delete",
-                            td,
-                            self._indexed_row(info, row),
-                            rowid,
-                        )
-            finally:
-                for info, am, td in indices:
-                    self.call_purpose(am, "am_close", td)
+            with self.writing(table, session) as writer:
+                for rowid, _ in victims:
+                    writer.delete(rowid)
         return len(victims)
 
     def _update(self, stmt: ast.Update, session) -> int:
         table = self.server.catalog.get_table(stmt.table)
-        changes: Dict[str, Any] = {}
-        for name, literal in stmt.assignments:
-            column = table.column(name)
-            changes[column.name] = (
-                column.data_type.input(literal.text)
-                if literal.is_string
-                else literal.python_value
-            )
+        changes = self._bind(table, stmt.assignments)
         with session.autocommit():
             victims = self._scan_rows(table, stmt.where, session)
-            indices = [
-                (info, *self._open_index(info, session)[1:])
-                for info in self.server.catalog.indices_on(table.name)
-            ]
-            try:
-                for rowid, _ in victims:
-                    old, new = table.update_row(rowid, changes)
-                    self._log_row(session, "update", table, rowid, new)
-                    for info, am, td in indices:
-                        old_key = self._indexed_row(info, old)
-                        new_key = self._indexed_row(info, new)
-                        if old_key != new_key:
-                            self.call_purpose(
-                                am, "am_update", td, old_key, rowid, new_key, rowid
-                            )
-            finally:
-                for info, am, td in indices:
-                    self.call_purpose(am, "am_close", td)
+            with self.writing(table, session) as writer:
+                for rowid, row in victims:
+                    writer.update(rowid, {**row, **changes})
         return len(victims)
 
     # ------------------------------------------------------------------
@@ -513,46 +446,27 @@ class Executor:
         """Bulk-load rows from a delimited text file; each field goes
         through its column type's *import* support function.
 
-        Indexes are opened once per LOAD, not once per row (the same
-        batching ``_delete``/``_update`` use): am_open/am_close bracket
-        the statement, which is what makes LOAD the bulk path rather
-        than sugar over per-row INSERTs.
+        Indexes are opened once per LOAD, not once per row:
+        am_open/am_close bracket the statement, which is what makes LOAD
+        the bulk path rather than sugar over per-row INSERTs.
         """
         table = self.server.catalog.get_table(stmt.table)
+        names = table.column_names()
         loaded = 0
         with open(stmt.path, "r", encoding="utf-8") as handle:
-            with session.autocommit():
-                indices = [
-                    (info, *self._open_index(info, session)[1:])
-                    for info in self.server.catalog.indices_on(table.name)
-                ]
-                try:
-                    for line_no, raw in enumerate(handle, start=1):
-                        line = raw.rstrip("\n")
-                        if not line:
-                            continue
-                        fields = line.split(stmt.delimiter)
-                        if len(fields) != len(table.columns):
-                            raise ExecutionError(
-                                f"{stmt.path}:{line_no}: expected "
-                                f"{len(table.columns)} fields, got {len(fields)}"
-                            )
-                        values = {
-                            column.name: column.data_type.import_text(field)
-                            for column, field in zip(table.columns, fields)
-                        }
-                        rowid = table.insert_row(values)
-                        row = table.fetch(rowid)
-                        self._log_row(session, "insert", table, rowid, row)
-                        for info, am, td in indices:
-                            self.call_purpose(
-                                am, "am_insert", td,
-                                self._indexed_row(info, row), rowid,
-                            )
-                        loaded += 1
-                finally:
-                    for info, am, td in indices:
-                        self.call_purpose(am, "am_close", td)
+            with session.autocommit(), self.writing(table, session) as writer:
+                for line_no, raw in enumerate(handle, start=1):
+                    line = raw.rstrip("\n")
+                    if not line:
+                        continue
+                    fields = line.split(stmt.delimiter)
+                    if len(fields) != len(names):
+                        raise ExecutionError(
+                            f"{stmt.path}:{line_no}: expected "
+                            f"{len(names)} fields, got {len(fields)}"
+                        )
+                    writer.insert(table.import_row(dict(zip(names, fields))))
+                    loaded += 1
         return loaded
 
     def _unload(self, stmt: ast.Unload, session) -> int:
@@ -567,10 +481,7 @@ class Executor:
         )
         with open(stmt.path, "w", encoding="utf-8") as handle:
             for row in rows:
-                fields = [
-                    table.column(name).data_type.export_text(row[name])
-                    for name in projection
-                ]
+                fields = table.export_row(row, projection).values()
                 handle.write(stmt.delimiter.join(fields) + "\n")
         return len(rows)
 
@@ -602,26 +513,16 @@ class Executor:
 
     def _check_index(self, stmt: ast.CheckIndex, session) -> str:
         info = self.server.catalog.get_index(stmt.name)
-        am = self.server.catalog.access_methods.get(info.am_name)
-        td = self._descriptor(info, session)
-        with session.autocommit():
-            self.call_purpose(am, "am_open", td)
-            try:
-                self.call_purpose(am, "am_check", td)
-            finally:
-                self.call_purpose(am, "am_close", td)
+        table = self.server.catalog.get_table(info.table_name)
+        with session.autocommit(), self.writing(table, session, [info]) as writer:
+            writer.each("am_check")
         return f"index {stmt.name} is consistent"
 
     def _update_statistics(self, stmt: ast.UpdateStatistics, session) -> Any:
         info = self.server.catalog.get_index(stmt.index_name)
-        am = self.server.catalog.access_methods.get(info.am_name)
-        td = self._descriptor(info, session)
-        with session.autocommit():
-            self.call_purpose(am, "am_open", td)
-            try:
-                return self.call_purpose(am, "am_stats", td)
-            finally:
-                self.call_purpose(am, "am_close", td)
+        table = self.server.catalog.get_table(info.table_name)
+        with session.autocommit(), self.writing(table, session, [info]) as writer:
+            return writer.each("am_stats")[0]
 
     # ------------------------------------------------------------------
     # Expression evaluation on rows (seqscan and residual filters)
@@ -734,3 +635,79 @@ class Executor:
         ast.Load: _load,
         ast.Unload: _unload,
     }
+
+
+class RowWriter:
+    """One statement's row writes, inside :meth:`Executor.writing`.
+
+    Each operation validates the row, changes every open index, then the
+    heap, then appends the replication row record.  A lock conflict comes
+    on an index's first write, so a failed operation leaves the heap as
+    it was and the transaction's rollback restores the index pages.
+    """
+
+    def __init__(self, executor: Executor, table: Table, session) -> None:
+        self.executor = executor
+        self.table = table
+        self.session = session
+        self.wal = executor.server.wal
+        #: (index, access method, descriptor) per index ``am_open`` opened.
+        self.opened: List[
+            Tuple[IndexInfo, SecondaryAccessMethod, IndexDescriptor]
+        ] = []
+
+    def insert(self, values: Dict[str, Any], rowid: Optional[int] = None) -> int:
+        """A new row at *rowid* (the replica passes the primary's), else
+        at the heap's next rowid; returns the rowid."""
+        row = self.table.validate(values)
+        if rowid is None:
+            rowid = self.table.next_rowid
+        self.add_entries(rowid, row)
+        self.table.put_row(rowid, row)
+        self._ship(self.wal.log_row_insert, rowid, row)
+        return rowid
+
+    def update(self, rowid: int, row: Dict[str, Any]) -> None:
+        """Replace row *rowid*; ``am_update`` only where a key changed."""
+        new = self.table.validate(row)
+        old = self.table.fetch(rowid)
+        for info, am, td in self.opened:
+            old_key = tuple(old[c] for c in info.columns)
+            new_key = tuple(new[c] for c in info.columns)
+            if old_key != new_key:
+                self.executor.call_purpose(
+                    am, "am_update", td, old_key, rowid, new_key, rowid
+                )
+        self.table.put_row(rowid, new)
+        self._ship(self.wal.log_row_update, rowid, new)
+
+    def delete(self, rowid: int) -> None:
+        old = self.table.fetch(rowid)
+        for info, am, td in self.opened:
+            key = tuple(old[c] for c in info.columns)
+            self.executor.call_purpose(am, "am_delete", td, key, rowid)
+        self.table.delete_row(rowid)
+        self._ship(self.wal.log_row_delete, rowid)
+
+    def add_entries(self, rowid: int, row: Dict[str, Any]) -> None:
+        """``am_insert`` of *row* into every open index, heap untouched
+        (on its own: CREATE INDEX over the rows already in the table)."""
+        for info, am, td in self.opened:
+            key = tuple(row[c] for c in info.columns)
+            self.executor.call_purpose(am, "am_insert", td, key, rowid)
+
+    def each(self, slot: str) -> List[Any]:
+        """Call *slot* (``am_check``, ``am_stats``) on every open index."""
+        call = self.executor.call_purpose
+        return [call(am, slot, td) for _, am, td in self.opened]
+
+    def _ship(self, log, rowid: int, *row: Dict[str, Any]) -> None:
+        """The logical row record, when the WAL ships rows to replicas.
+        It is in the statement's transaction: an abort discards it."""
+        if self.wal.ship_rows and not self.executor.server.repl_applying:
+            log(
+                self.session.transaction.txn_id,
+                self.table.name,
+                rowid,
+                *(self.table.export_row(r) for r in row),
+            )

@@ -65,33 +65,49 @@ class Table:
 
     # ------------------------------------------------------------------
 
-    def insert_row(self, values: Dict[str, Any]) -> int:
-        """Validate against column types and append; returns the rowid."""
-        normalized: Dict[str, Any] = {}
+    def validate(self, values: Dict[str, Any]) -> Dict[str, Any]:
+        """*values*, keyed by column name in any case, checked against the
+        column types: the row as the heap stores it."""
+        given = {key.lower(): value for key, value in values.items()}
+        row: Dict[str, Any] = {}
         for column in self.columns:
-            if column.name not in values and not any(
-                k.lower() == column.name.lower() for k in values
-            ):
+            key = column.name.lower()
+            if key not in given:
                 raise ExecutionError(
                     f"INSERT into {self.name} is missing column {column.name}"
                 )
-            raw = values.get(column.name)
-            if raw is None:
-                raw = next(
-                    v for k, v in values.items() if k.lower() == column.name.lower()
-                )
-            normalized[column.name] = column.data_type.validate(raw)
-        extra = {
-            k for k in values if not self.has_column(k)
-        }
-        if extra:
-            raise ExecutionError(f"unknown columns in INSERT: {sorted(extra)}")
-        self._rows.append(normalized)
-        self._live += 1
-        return len(self._rows) - 1
+            row[column.name] = column.data_type.validate(given.pop(key))
+        if given:
+            raise ExecutionError(f"unknown columns in INSERT: {sorted(given)}")
+        return row
 
-    def put_row(self, rowid: int, values: Dict[str, Any]) -> Dict[str, Any]:
-        """Place a validated row at an exact *rowid* (replica apply path).
+    def export_row(
+        self, row: Dict[str, Any], names: Optional[Sequence[str]] = None
+    ) -> Dict[str, str]:
+        """Each column of *row* (or only *names*) as text, through its
+        type's *export* support function (UNLOAD, replication)."""
+        columns = self.columns if names is None else map(self.column, names)
+        return {c.name: c.data_type.export_text(row[c.name]) for c in columns}
+
+    def import_row(self, fields: Dict[str, str]) -> Dict[str, Any]:
+        """The inverse of :meth:`export_row` (LOAD, replica apply)."""
+        return {
+            c.name: c.data_type.import_text(fields[c.name]) for c in self.columns
+        }
+
+    @property
+    def next_rowid(self) -> int:
+        """The rowid the next appended row gets."""
+        return len(self._rows)
+
+    def insert_row(self, values: Dict[str, Any]) -> int:
+        """Validate and append; returns the rowid."""
+        rowid = self.next_rowid
+        self.put_row(rowid, self.validate(values))
+        return rowid
+
+    def put_row(self, rowid: int, row: Dict[str, Any]) -> None:
+        """Place a validated *row* at an exact *rowid*.
 
         Replication ships the primary's rowids; the replica must land
         each row at the same slot so later delete/update records resolve.
@@ -100,16 +116,11 @@ class Table:
         the primary's rowid sequence).  Idempotent: re-applying over an
         identical live row is a plain overwrite.
         """
-        normalized = {
-            column.name: column.data_type.validate(values[column.name])
-            for column in self.columns
-        }
         while len(self._rows) <= rowid:
             self._rows.append(None)
         if self._rows[rowid] is None:
             self._live += 1
-        self._rows[rowid] = normalized
-        return normalized
+        self._rows[rowid] = row
 
     def fetch(self, rowid: int) -> Dict[str, Any]:
         if not 0 <= rowid < len(self._rows) or self._rows[rowid] is None:
@@ -122,17 +133,9 @@ class Table:
         self._live -= 1
         return row
 
-    def update_row(self, rowid: int, changes: Dict[str, Any]) -> Tuple[
-        Dict[str, Any], Dict[str, Any]
-    ]:
-        """Apply *changes*; returns (old_row, new_row)."""
-        old = dict(self.fetch(rowid))
-        new = dict(old)
-        for key, value in changes.items():
-            column = self.column(key)
-            new[column.name] = column.data_type.validate(value)
-        self._rows[rowid] = new
-        return old, new
+    def update_row(self, rowid: int, changes: Dict[str, Any]) -> None:
+        """Validate and apply *changes* to one row."""
+        self.put_row(rowid, self.validate({**self.fetch(rowid), **changes}))
 
     def scan(self) -> Iterator[Tuple[int, Dict[str, Any]]]:
         """Full scan, charging page reads."""

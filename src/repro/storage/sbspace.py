@@ -277,14 +277,27 @@ class Sbspace:
         isolation: IsolationLevel = IsolationLevel.COMMITTED_READ,
     ) -> SmartBlob:
         """Open a large object, acquiring its object-level lock."""
+        blob = self.lock(handle, mode, txn_id, isolation)
+        blob.open_count += 1
+        self.stats_opens += 1
+        return blob
+
+    def lock(
+        self,
+        handle: LargeObjectHandle,
+        mode: OpenMode,
+        txn_id: Optional[int],
+        isolation: IsolationLevel,
+    ) -> SmartBlob:
+        """Acquire the object-level lock for *mode*: the locking step of
+        :meth:`open`, and on its own the upgrade of an open object from
+        read to write (which is not a second open)."""
         if self.faults is not None:
             self.faults.hit("sbspace.open")
         blob = self.get(handle)
         if self.locks is not None and txn_id is not None:
             if not (mode is OpenMode.READ and isolation is IsolationLevel.DIRTY_READ):
                 self.locks.acquire(txn_id, ("lo", handle.value), mode.lock_mode)
-        blob.open_count += 1
-        self.stats_opens += 1
         return blob
 
     def close(

@@ -4,9 +4,11 @@ Two observable sequences, pinned here so that the blade code behind
 them can be restructured freely, and the row budget of ``am_getnext``:
 
 * Figure 6 -- which ``am_*`` purpose functions the server calls, in what
-  order, for CREATE INDEX / INSERT / SELECT / DELETE / DROP INDEX.  The
-  sequence is the same for all five access methods; at a row budget
-  (``sd.niorows``) of 1 it is the paper's, one ``am_getnext`` per row.
+  order, for CREATE INDEX / INSERT / UPDATE / SELECT / DELETE / LOAD /
+  DROP INDEX.  The sequence is the same for all five access methods; at
+  a row budget (``sd.niorows``) of 1 it is the paper's, one
+  ``am_getnext`` per row.  On a table with two indexes every row write
+  opens both, changes both, then closes both.
 * The budget -- every ``am_getnext`` returns at most ``sd.niorows`` rows,
   only the last call returns none, and the answers are the seqscan's.
 * Table 5 -- the ordered step trace (``grt`` trace class, level 2) of the
@@ -33,6 +35,8 @@ def extent(valid_from):
     return f"'{format_chronon(100)}, UC, {format_chronon(valid_from)}, NOW'"
 
 
+QUOTE = "'"
+
 BOXES = ["'(0, 0, 1, 1)'", "'(2, 2, 3, 3)'", "'(4, 4, 5, 5)'"]
 
 #: access method -> (register, indexed column type, three values, a
@@ -57,8 +61,10 @@ def figure_6(getnexts):
     return {
         "create": ["am_create", "am_open", "am_insert", "am_close"],
         "insert": ["am_open", "am_insert", "am_close"],
+        "update": ["am_open", "am_update", "am_close"],
         "select": scan,
         "delete": scan + ["am_open"] + ["am_delete"] * 3 + ["am_close"],
+        "load": ["am_open", "am_insert", "am_insert", "am_close"],
         "drop": ["am_drop"],
     }
 
@@ -76,7 +82,7 @@ FIGURE_6 = {1: figure_6(4), 64: figure_6(2)}
         for niorows in sorted(FIGURE_6)
     ],
 )
-def test_figure6_call_sequences(am, niorows, monkeypatch):
+def test_figure6_call_sequences(am, niorows, monkeypatch, tmp_path):
     monkeypatch.setattr(executor, "NIOROWS", niorows)
     register, column_type, values, predicate = ACCESS_METHODS[am]
     server = DatabaseServer(clock=Clock(now=100))
@@ -95,13 +101,72 @@ def test_figure6_call_sequences(am, niorows, monkeypatch):
     observed = {}
     _, observed["create"] = calls(f"CREATE INDEX i ON t(c) USING {am} IN spc")
     _, observed["insert"] = calls(f"INSERT INTO t VALUES ('a', {values[1]})")
+    # A key-moving UPDATE (found by a seqscan on the unindexed name).
+    _, observed["update"] = calls(f"UPDATE t SET c = {values[2]} WHERE name = 'a'")
     server.execute(f"INSERT INTO t VALUES ('b', {values[2]})")
     rows, observed["select"] = calls(f"SELECT name FROM t WHERE {predicate}")
     assert sorted(row["name"] for row in rows) == ["a", "b", "seed"]
     deleted, observed["delete"] = calls(f"DELETE FROM t WHERE {predicate}")
     assert deleted == 3
+    path = tmp_path / "two.unl"
+    path.write_text("".join(
+        f"{name}|{value.strip(QUOTE)}\n" for name, value in zip("xy", values)
+    ))
+    loaded, observed["load"] = calls(f"LOAD FROM '{path}' INSERT INTO t")
+    assert loaded == 2
     _, observed["drop"] = calls("DROP INDEX i")
     assert observed == FIGURE_6[niorows]
+
+
+def two_index_server(server, ddl=True):
+    """*server* with table ``t2`` indexed twice: ``ia`` (``btree_am`` on
+    ``k``) and ``ib`` (``rtree_am`` on ``b``).  Without *ddl* only the
+    space and the blades (a replica gets the DDL from the log)."""
+    server.create_sbspace("spc")
+    register_btree_blade(server)
+    register_rtree_blade(server)
+    server.prefer_virtual_index = True
+    if not ddl:
+        return server
+    server.execute("CREATE TABLE t2 (name LVARCHAR, k INTEGER, b Box)")
+    server.execute("CREATE INDEX ia ON t2(k) USING btree_am IN spc")
+    server.execute("CREATE INDEX ib ON t2(b) USING rtree_am IN spc")
+    return server
+
+
+def test_figure6_on_two_indexes(tmp_path):
+    """Each row write brackets both indexes once: open A, open B, the
+    row operations on A then B, close A, close B."""
+    server = two_index_server(DatabaseServer(clock=Clock(now=100)))
+    server.trace.set_level("am", 1)
+
+    def calls(statement):
+        server.trace.clear()
+        server.execute(statement)
+        return [
+            text.replace("btree_am.", "A.").replace("rtree_am.", "B.")
+            for text in server.trace.texts("am")
+        ]
+
+    def bracket(*steps):
+        return ["A.am_open", "B.am_open", *steps, "A.am_close", "B.am_close"]
+
+    assert calls("INSERT INTO t2 VALUES ('a', 1, '(0, 0, 1, 1)')") == bracket(
+        "A.am_insert", "B.am_insert"
+    )
+    assert calls(
+        "UPDATE t2 SET k = 2, b = '(2, 2, 3, 3)' WHERE name = 'a'"
+    ) == bracket("A.am_update", "B.am_update")
+    # Only the index whose key moved is updated.
+    assert calls("UPDATE t2 SET k = 3 WHERE name = 'a'") == bracket("A.am_update")
+    assert calls("DELETE FROM t2 WHERE name = 'a'") == bracket(
+        "A.am_delete", "B.am_delete"
+    )
+    path = tmp_path / "two.unl"
+    path.write_text("x|1|(0, 0, 1, 1)\ny|2|(2, 2, 3, 3)\n")
+    assert calls(f"LOAD FROM '{path}' INSERT INTO t2") == bracket(
+        "A.am_insert", "B.am_insert", "A.am_insert", "B.am_insert"
+    )
 
 
 # ----------------------------------------------------------------------

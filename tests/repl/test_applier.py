@@ -240,6 +240,42 @@ def test_replicated_grtree_index_answers_queries():
     assert replica.execute("CHECK INDEX gi") == "index gi is consistent"
 
 
+def test_replica_keeps_two_indexes_in_step():
+    """Row redo goes through the same writer as the primary's DML: after
+    an INSERT, a key-moving UPDATE and a DELETE, the replica answers
+    identically through both indexes and both pass CHECK INDEX."""
+    from repro.server.optimizer import IndexScanPlan
+    from repro.temporal.chronon import Clock
+    from tests.datablade.test_blade_contract import two_index_server
+
+    primary = DatabaseServer(clock=Clock(now=100))
+    primary.enable_wal_shipping()
+    two_index_server(primary)
+    for i in range(4):
+        primary.execute(
+            f"INSERT INTO t2 VALUES ('r{i}', {i}, '({i}, {i}, {i + 1}, {i + 1})')"
+        )
+    primary.execute("UPDATE t2 SET k = 7, b = '(7, 7, 8, 8)' WHERE name = 'r1'")
+    primary.execute("DELETE FROM t2 WHERE name = 'r2'")
+
+    replica = DatabaseServer(clock=Clock(now=100))
+    two_index_server(replica, ddl=False)
+    feed(ReplicationApplier(replica), primary)
+
+    for index, where in (("ia", "k >= 0"), ("ib", "Overlap(b, '(0, 0, 9, 9)')")):
+        answers = []
+        for db in (primary, replica):
+            rows = db.execute(f"SELECT * FROM t2 WHERE {where}")
+            assert isinstance(db.last_plan, IndexScanPlan)
+            assert db.last_plan.index.name == index
+            answers.append(sorted((r["name"], r["k"], repr(r["b"])) for r in rows))
+            assert db.execute(f"CHECK INDEX {index}") == (
+                f"index {index} is consistent"
+            )
+        assert answers[0] == answers[1]
+        assert [name for name, _, _ in answers[0]] == ["r0", "r1", "r3"]
+
+
 def test_staleness_bound_rejects_a_lagging_replica():
     from repro.server.errors import ReplicaStaleError
 
