@@ -6,7 +6,9 @@ comes entirely from the pluggable comparator, which is what lets a new
 operator class substitute ``compare()`` without touching the structure.
 
 Node capacity is byte-budgeted rather than entry-counted because keys
-are variable length.  Decoded nodes are kept by the buffer pool
+are variable length: a node fits when its encoding does, so a write
+encodes the node once and compares the length with the page.  Decoded
+nodes are kept by the buffer pool
 (:meth:`~repro.storage.buffer.BufferPool.read_decoded`).
 """
 
@@ -51,10 +53,6 @@ class BTreeEntry:
             f"fragid={self.fragid}, child={self.child})"
         )
 
-    def encoded_size(self, leaf: bool) -> int:
-        ptr = _LEAF_PTR.size if leaf else _CHILD_PTR.size
-        return _KEY_LEN.size + len(self.key) + ptr
-
 
 @dataclass
 class BTreeNode:
@@ -64,10 +62,6 @@ class BTreeNode:
     next_leaf: int = -1
     #: Internal nodes: leftmost child (covers keys below entries[0].key).
     leftmost: int = -1
-
-    def byte_size(self) -> int:
-        size = _NODE_HEADER.size + (_CHILD_PTR.size if not self.leaf else 0)
-        return size + sum(e.encoded_size(self.leaf) for e in self.entries)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -81,9 +75,6 @@ class BTreeNodeStore:
         self.page_size = buffer.store.page_size
         if self.page_size < 128:
             raise ValueError("page size too small for a B+-tree node")
-
-    def fits(self, node: BTreeNode) -> bool:
-        return node.byte_size() <= self.page_size
 
     def allocate(self, leaf: bool) -> BTreeNode:
         return BTreeNode(self.buffer.allocate(), leaf)
@@ -114,11 +105,15 @@ class BTreeNodeStore:
         return node
 
     def write(self, node: BTreeNode) -> None:
-        if not self.fits(node):
+        if not self.write_if_fits(node):
             raise ValueError(
-                f"B+-tree node overflow: {node.byte_size()} bytes "
-                f"> page size {self.page_size}"
+                f"B+-tree node overflow: {len(node.entries)} entries do "
+                f"not fit a {self.page_size}-byte page"
             )
+
+    def write_if_fits(self, node: BTreeNode) -> bool:
+        """Encode *node* once and write it if it fits its page; return
+        whether it did."""
         parts = [_NODE_HEADER.pack(node.leaf, len(node.entries), node.next_leaf)]
         if not node.leaf:
             parts.append(_CHILD_PTR.pack(node.leftmost))
@@ -129,7 +124,11 @@ class BTreeNodeStore:
                 parts.append(_LEAF_PTR.pack(entry.rowid, entry.fragid))
             else:
                 parts.append(_CHILD_PTR.pack(entry.child))
-        self.buffer.write(node.page_id, b"".join(parts), node)
+        data = b"".join(parts)
+        if len(data) > self.page_size:
+            return False
+        self.buffer.write(node.page_id, data, node)
+        return True
 
     def free(self, page_id: int) -> None:
         self.buffer.free(page_id)

@@ -111,8 +111,7 @@ class BPlusTree:
     def _write_with_splits(self, path: List[BTreeNode]) -> None:
         for depth in range(len(path) - 1, -1, -1):
             node = path[depth]
-            if self.store.fits(node):
-                self.store.write(node)
+            if self.store.write_if_fits(node):
                 return
             promoted_key, sibling_id = self._split(node)
             self.store.write(node)

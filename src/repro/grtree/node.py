@@ -46,8 +46,9 @@ class GRNode:
     entries: List[GREntry] = field(default_factory=list)
     #: Lazily built column mirror of ``entries`` for the tree's kernels
     #: (see :mod:`repro.grtree.specialize`).  Dropped on every store
-    #: write -- all tree mutations pass through a write before the
-    #: operation returns, so a non-``None`` value is always current.
+    #: write -- every change to a node passes through a write before the
+    #: operation returns, and a node the tree leaves unwritten is
+    #: unchanged, so a non-``None`` value is always current.
     cols: object = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:

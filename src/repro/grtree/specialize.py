@@ -27,6 +27,22 @@ type and query *once*, at bind time):
   :func:`bound_entries` are then evaluated for a whole node in a few
   numpy calls instead of a Python loop.
 
+The least-overlap penalty has an exact shortcut.  Regions are sets of
+integer lattice cells, and a union bound is a superset of each of its
+members, so two facts hold for every entry ``r`` and key ``k``:
+
+1. no overlap delta is negative: ``union_bounds(r, k)`` contains ``r``,
+   so it overlaps every sibling at least as much as ``r`` does;
+2. zero area enlargement means zero overlap delta: a superset of ``r``
+   with as many cells as ``r`` *is* ``r``.
+
+So when some entry already covers the key (zero enlargement), the R*
+rank (overlap delta, area delta, area) is won by the first covering
+entry of least area, and the pairwise overlap matrices are never built.
+The scalar loop in :class:`~repro.grtree.tree.GRTree` takes the same
+shortcut; ``tests/grtree/test_choose_subtree_shortcut.py`` checks both
+facts and the choice against the full ranking.
+
 Everything here is *bit-exact* against the generic path: integer chronon
 arithmetic only, identical tie-breaking (stable argmin = first index
 with the smallest key), and identical error behaviour (any entry that
@@ -472,6 +488,12 @@ class SpecializedOps:
         areas = _areas(np, tt_lo, tt_hi, vt_lo, vt_hi, stair)
         u_ttl, u_tth, u_vtl, u_vth, u_stair = _union_bounds(np, resolved, region)
         union_areas = _areas(np, u_ttl, u_tth, u_vtl, u_vth, u_stair)
+        growth = union_areas - areas
+        self.stats.choices_vectorized += 1
+        covering = growth == 0
+        if bool(covering.any()):
+            # The first covering entry of least area wins (module docstring).
+            return int(np.argmin(np.where(covering, areas, areas.max() + 1)))
 
         cols = (tt_lo[:, None], tt_hi[:, None], vt_lo[:, None],
                 vt_hi[:, None], stair[:, None])
@@ -484,8 +506,7 @@ class SpecializedOps:
         delta = after - before
         np.fill_diagonal(delta, 0)
         overlap_delta = delta.sum(axis=1)
-        self.stats.choices_vectorized += 1
-        return int(np.lexsort((areas, union_areas - areas, overlap_delta))[0])
+        return int(np.lexsort((areas, growth, overlap_delta))[0])
 
     # -- bounding ------------------------------------------------------
 

@@ -178,6 +178,13 @@ class GRTree(RStarTree):
         regions = self._keys(node.entries)
         n = len(regions)
         areas = [r.area() for r in regions]
+        enlarged = [r.union_bounds(region) for r in regions]
+        growth = [u.area() - a for u, a in zip(enlarged, areas)]
+        covering = [i for i in range(n) if growth[i] == 0]
+        if covering:
+            # An entry that already covers the key adds no overlap, and no
+            # entry subtracts any (see repro.grtree.specialize).
+            return min(covering, key=areas.__getitem__)
         # Pairwise overlaps before enlargement, computed once over the
         # upper triangle instead of per candidate (chronons are integers,
         # so the sums are exact in any order).
@@ -188,14 +195,13 @@ class GRTree(RStarTree):
                 before_sum[i] += overlap
                 before_sum[j] += overlap
         best, best_rank = 0, None
-        for i, r in enumerate(regions):
-            enlarged = r.union_bounds(region)
+        for i, u in enumerate(enlarged):
             after_sum = sum(
-                enlarged.overlap_area(other)
+                u.overlap_area(other)
                 for j, other in enumerate(regions)
                 if j != i
             )
-            rank = (after_sum - before_sum[i], enlarged.area() - areas[i], areas[i])
+            rank = (after_sum - before_sum[i], growth[i], areas[i])
             if best_rank is None or rank < best_rank:
                 best, best_rank = i, rank
         return best

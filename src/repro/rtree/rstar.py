@@ -12,6 +12,14 @@ insertion, deletion or verification code.  The skeleton holds:
 * deletion: the leaf-finding descent, condensation (underfull nodes on
   the path are dissolved and their entries reinserted at their level)
   and root shrink;
+* AdjustTree's stop rule, shared by insertion, forced reinsertion and
+  condensation: every ancestor on the path has its entry for the child
+  below re-bounded, but a node is written only if it changed -- it got
+  or lost an entry, was split, or had an entry replaced by a different
+  one.  The re-bounding itself never stops early: a GR-tree bound
+  depends on the current time, so an unchanged child does not prove an
+  unchanged parent entry.  A skipped write would have rewritten the
+  page's own bytes;
 * window search, node iteration and statistics;
 * one structural walker, :meth:`RStarTree.violations`, that reports every
   violation instead of the first: reachability (no orphan, dangling,
@@ -232,7 +240,11 @@ class RStarTree:
     # ------------------------------------------------------------------
 
     def _propagate_up(self, path: list) -> None:
-        """Write back a modified path, treating overflows bottom-up."""
+        """Write back a modified path, treating overflows bottom-up.
+
+        ``path[-1]`` got an entry; above it, a node is written only if
+        its entry for the child below changed (or a split gave it one)."""
+        changed = True
         for depth in range(len(path) - 1, -1, -1):
             node = path[depth]
             if self._overflows(node):
@@ -247,17 +259,23 @@ class RStarTree:
                 self._split(path, depth)
                 if depth > 0:
                     # The parent gained an entry; keep propagating.
+                    changed = True
                     continue
                 return
-            self.store.write(node)
+            if changed:
+                self.store.write(node)
             if depth > 0:
-                self._refresh_child(path[depth - 1], node)
+                changed = self._refresh_child(path[depth - 1], node)
 
-    def _refresh_child(self, parent, child) -> None:
+    def _refresh_child(self, parent, child) -> bool:
+        """Re-bound *child* in *parent*; return whether the entry changed."""
         for i, entry in enumerate(parent.entries):
             if entry.child == child.page_id:
-                parent.entries[i] = self._parent_entry(child)
-                return
+                fresh = self._parent_entry(child)
+                if fresh == entry:
+                    return False
+                parent.entries[i] = fresh
+                return True
         raise RuntimeError(
             f"child {child.page_id} not found in parent {parent.page_id}"
         )
@@ -278,8 +296,8 @@ class RStarTree:
         self.store.write(node)
         # Shrink ancestor bounds before reinserting.
         for d in range(depth - 1, -1, -1):
-            self._refresh_child(path[d], path[d + 1])
-            self.store.write(path[d])
+            if self._refresh_child(path[d], path[d + 1]):
+                self.store.write(path[d])
         for _, entry in reversed(ranked[: self.reinsert_count]):
             self._insert_entry(entry, node.level)
 
@@ -391,6 +409,7 @@ class RStarTree:
 
     def _condense(self, path: list) -> None:
         orphans: List[Tuple[object, int]] = []
+        changed = True  # the leaf lost an entry
         for depth in range(len(path) - 1, 0, -1):
             node = path[depth]
             parent = path[depth - 1]
@@ -403,10 +422,13 @@ class RStarTree:
                 orphans.extend((entry, node.level) for entry in node.entries)
                 self.store.free(node.page_id)
                 self.condensed = True
+                changed = True
             else:
-                self.store.write(node)
-                self._refresh_child(parent, node)
-        self.store.write(path[0])
+                if changed:
+                    self.store.write(node)
+                changed = self._refresh_child(parent, node)
+        if changed:
+            self.store.write(path[0])
         if self.condensed:
             self.condense_version += 1
             self._note("condenses")

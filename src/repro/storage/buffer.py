@@ -123,6 +123,8 @@ class BufferPool:
         # page_id -> (data, dirty, decoded or None); insertion order ==
         # recency order.
         self._frames: "OrderedDict[int, tuple]" = OrderedDict()
+        #: How many frames are dirty, so a clean pool's flush is free.
+        self._dirty = 0
 
     # ------------------------------------------------------------------
 
@@ -155,42 +157,54 @@ class BufferPool:
         *decoded*, if given, is what :meth:`read_decoded` returns for it."""
         data = self.store._check_data(data)
         self.stats.logical_writes += 1
-        self._frames.pop(page_id, None)
+        self._drop(page_id)
         self._admit(page_id, data, True, decoded)
 
     def allocate(self) -> int:
         page_id = self.store.allocate_page()
         # The store recycles freed ids (LIFO free lists); a frame for a
         # previous incarnation of this page must not be resurrected.
-        self._frames.pop(page_id, None)
+        self._drop(page_id)
         return page_id
 
     def free(self, page_id: int) -> None:
         """Discard any cached copy and release the page."""
-        self._frames.pop(page_id, None)
+        self._drop(page_id)
         self.store.free_page(page_id)
 
     def flush(self) -> None:
         """Write back every dirty frame (keeps frames resident)."""
         if self.faults is not None:
             self.faults.hit("buffer.flush")
+        if not self._dirty:
+            return
         for page_id, (data, dirty, decoded) in list(self._frames.items()):
             if dirty:
                 self.store.write_page(page_id, data)
                 self.stats.physical_writes += 1
                 self._frames[page_id] = (data, False, decoded)
+                self._dirty -= 1
 
     def invalidate(self) -> None:
         """Drop all frames without writing back (crash simulation)."""
         self._frames.clear()
+        self._dirty = 0
 
     # ------------------------------------------------------------------
 
+    def _drop(self, page_id: int) -> None:
+        frame = self._frames.pop(page_id, None)
+        if frame is not None and frame[1]:
+            self._dirty -= 1
+
     def _admit(self, page_id: int, data: bytes, dirty: bool, decoded: Any) -> None:
+        """Install a frame for a page that has none."""
         self._frames[page_id] = (data, dirty, decoded)
+        self._dirty += dirty
         while len(self._frames) > self.capacity:
             victim_id, (victim, victim_dirty, _) = self._frames.popitem(last=False)
             if victim_dirty:
+                self._dirty -= 1
                 self.store.write_page(victim_id, victim)
                 self.stats.physical_writes += 1
 

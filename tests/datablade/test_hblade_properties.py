@@ -411,7 +411,8 @@ class TestNodeSplitMergeEdgeCases:
         node = store.allocate(leaf=True)
         for i in range(200):
             node.entries.append(BTreeEntry(key(i), rowid=i))
-        assert not store.fits(node)
+        assert not store.write_if_fits(node)
+        assert pool.stats.logical_writes == 0
         with pytest.raises(ValueError, match="node overflow"):
             store.write(node)
 

@@ -12,6 +12,9 @@ recorded from a known-good build:
 * the outcome of ``check()`` on the healthy tree and after its recorded
   size is corrupted.
 
+Each test also asserts that no node write left its page's bytes as they
+were: AdjustTree writes an ancestor only when its entry changed.
+
 The byte-identity suites elsewhere compare two code paths of the same
 build; these constants catch a change that moves both paths at once
 (a different split decision, page allocation order or buffer access
@@ -20,6 +23,8 @@ pattern).  A deliberate change of tree behaviour re-records them.
 
 import hashlib
 import random
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 
@@ -57,6 +62,24 @@ def _pages(store: InMemoryPageStore) -> str:
         digest.update(page_id.to_bytes(8, "little"))
         digest.update(data)
     return digest.hexdigest()[:16]
+
+
+@contextmanager
+def _idle_node_writes():
+    """Collect the page ids of node writes whose bytes equal the page's."""
+    idle = []
+    write = BufferPool.write
+
+    def recording(pool, page_id, data, decoded=None):
+        if decoded is not None:
+            frame = pool._frames.get(page_id)
+            old = frame[0] if frame else pool.store.read_page(page_id)
+            if pool.store._check_data(data) == old:
+                idle.append(page_id)
+        write(pool, page_id, data, decoded)
+
+    with mock.patch.object(BufferPool, "write", recording):
+        yield idle
 
 
 def _check_outcome(tree) -> str:
@@ -217,7 +240,7 @@ EXPECTED = {
     "rstar": {
         "pages": "56cfc92a7bc487b9",
         "shape": (27, 2, 12),
-        "io": (8676, 7616, 1213, 1189),
+        "io": (8676, 4746, 1229, 1187),
         "answers": "1c5abfb8090df311",
         "check": "ok",
         "corrupt_check": "AssertionError",
@@ -225,7 +248,7 @@ EXPECTED = {
     "guttman": {
         "pages": "72d233c655c550e2",
         "shape": (41, 2, 12),
-        "io": (7738, 6595, 1253, 1203),
+        "io": (7738, 3933, 1269, 1198),
         "answers": "1c5abfb8090df311",
         "check": "ok",
         "corrupt_check": "AssertionError",
@@ -233,7 +256,7 @@ EXPECTED = {
     "grtree": {
         "pages": "4365f16b9ae05ca5",
         "shape": (11, 1, 10),
-        "io": (8811, 6727, 2173, 777),
+        "io": (8811, 3898, 2249, 649),
         "answers": "e974f173747f6d74",
         "check": "ok",
         "corrupt_check": "AssertionError",
@@ -241,7 +264,7 @@ EXPECTED = {
     "gist_rect": {
         "pages": "12e8d4e7a3d8ae15",
         "shape": (141, 2, 12),
-        "io": (6991, 6166, 2638, 2549),
+        "io": (6991, 3382, 2744, 2222),
         "answers": "c90973d478a70ed9",
         "check": "ok",
         "corrupt_check": "AssertionError",
@@ -249,7 +272,7 @@ EXPECTED = {
     "gist_interval": {
         "pages": "9e800048724da09b",
         "shape": (66, 2, 12),
-        "io": (5014, 4371, 1260, 1259),
+        "io": (5014, 2100, 1296, 1147),
         "answers": "49bc626c83a38b16",
         "check": "ok",
         "corrupt_check": "AssertionError",
@@ -270,31 +293,41 @@ def _interval_queries():
 
 
 def test_rstar_tree_is_pinned():
-    assert _rtree_record(RStarTree) == EXPECTED["rstar"]
+    with _idle_node_writes() as idle:
+        assert _rtree_record(RStarTree) == EXPECTED["rstar"]
+    assert idle == []
 
 
 def test_guttman_tree_is_pinned():
-    assert _rtree_record(GuttmanRTree) == EXPECTED["guttman"]
+    with _idle_node_writes() as idle:
+        assert _rtree_record(GuttmanRTree) == EXPECTED["guttman"]
+    assert idle == []
 
 
 @pytest.mark.parametrize("spec", [True, False], ids=["spec", "generic"])
 def test_grtree_is_pinned(spec):
     """The kernels never change a byte or an I/O."""
-    if spec:
-        record, stats = _grtree_record()
-        assert_kernels(stats)
-    else:
-        with scalar_path():
+    with _idle_node_writes() as idle:
+        if spec:
             record, stats = _grtree_record()
-        assert_scalar(stats)
+            assert_kernels(stats)
+        else:
+            with scalar_path():
+                record, stats = _grtree_record()
+            assert_scalar(stats)
     assert record == EXPECTED["grtree"]
+    assert idle == []
 
 
 def test_gist_rect_tree_is_pinned():
-    record = _gist_record(RectExtension(), _rect, _rect_queries())
+    with _idle_node_writes() as idle:
+        record = _gist_record(RectExtension(), _rect, _rect_queries())
     assert record == EXPECTED["gist_rect"]
+    assert idle == []
 
 
 def test_gist_interval_tree_is_pinned():
-    record = _gist_record(IntervalExtension(), _interval, _interval_queries())
+    with _idle_node_writes() as idle:
+        record = _gist_record(IntervalExtension(), _interval, _interval_queries())
     assert record == EXPECTED["gist_interval"]
+    assert idle == []

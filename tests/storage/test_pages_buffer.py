@@ -1,5 +1,7 @@
 """Tests for page stores and the buffer pool."""
 
+import random
+
 import pytest
 
 from repro.storage.buffer import BufferPool, IOStats
@@ -119,6 +121,33 @@ class TestBufferPool:
         before = pool.stats.physical_writes
         pool.flush()
         assert pool.stats.physical_writes == before
+
+    def test_flush_writes_every_dirty_page_after_any_mix(self):
+        """The pool counts its dirty frames so a clean flush can return
+        at once; writes, rereads, evictions, frees and recycled ids must
+        never leave a dirty page unflushed."""
+        rng = random.Random(7)
+        store = InMemoryPageStore(page_size=64)
+        pool = BufferPool(store, capacity=4)
+        expected = {}
+        for step in range(400):
+            roll = rng.random()
+            if not expected or roll < 0.2:
+                pid = pool.allocate()
+                expected[pid] = b"\x00" * 64
+            pid = rng.choice(sorted(expected))
+            if roll < 0.5:
+                data = bytes([step % 251]) * 64
+                pool.write(pid, data)
+                expected[pid] = data
+            elif roll < 0.6:
+                pool.free(pid)
+                del expected[pid]
+            elif roll < 0.9:
+                assert pool.read(pid) == expected[pid]
+            else:
+                pool.flush()
+                assert store.snapshot() == expected
 
     def test_invalidate_discards_dirty_data(self):
         store, pool = self.make()
