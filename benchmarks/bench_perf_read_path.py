@@ -3,7 +3,7 @@
 Layer by layer (see ``docs/performance.md``):
 
 * the **decoded pages** (each buffer-pool frame keeps its decoded
-  ``GRNode``, :meth:`~repro.storage.buffer.BufferPool.read_decoded`)
+  ``Node``, :meth:`~repro.storage.buffer.BufferPool.read_decoded`)
   are the tentpole: warm-read query throughput on the Perf-1 workload
   must be at least ``SPEEDUP_FLOOR`` times a baseline store that decodes
   the page on every read, with *identical* ``search_all`` answers and a
@@ -28,7 +28,7 @@ import time
 
 from _perf import PAGE_SIZE, reference_path
 from repro.datablade import register_grtree_blade
-from repro.grtree.node import GRNodeStore, _decode
+from repro.grtree.node import GRNodeStore
 from repro.grtree.specialize import numpy_available
 from repro.grtree.tree import GRTree
 from repro.server import DatabaseServer
@@ -65,7 +65,7 @@ class DecodeEveryRead(GRNodeStore):
 
     def read(self, page_id):
         with self._lock:
-            return _decode(page_id, self.buffer.read(page_id))
+            return self.decode(page_id, self.buffer.read(page_id))
 
 
 def build_tree(config: str):

@@ -9,6 +9,8 @@ through cursors, the drop-and-bulk-load rebuild, and a bulk deletion --
 comparing the page I/O of each, as the paper's discussion anticipates.
 """
 
+import copy
+
 from repro.grtree.bulk import bulk_delete, bulk_load
 from repro.grtree.node import GRNodeStore
 from repro.grtree.tree import GRTree
@@ -29,7 +31,18 @@ def build(seed: int = 7):
                        clock_advance_probability=0.6),
     )
     workload.run(tree, 3000)
-    return clock, pool, tree, workload
+    pool.flush()
+    return clock, pool, tree
+
+
+def copy_of(clock, pool, tree):
+    """An independent copy of the built history: its own pages, pool
+    and clock, so each strategy starts from the same index."""
+    own_pool = BufferPool(copy.deepcopy(pool.store), capacity=128)
+    own_clock = Clock(now=clock.now)
+    return own_clock, own_pool, GRTree.open(
+        GRNodeStore(own_pool), own_clock, tree.meta_page
+    )
 
 
 def is_old(cutoff):
@@ -40,7 +53,8 @@ def is_old(cutoff):
 
 
 def main() -> None:
-    clock, pool, tree, workload = build()
+    history = build()
+    clock, pool, tree = history
     cutoff = clock.now - clock.now // 2  # "five years ago"
     condition = is_old(cutoff)
     victims = sum(
@@ -52,7 +66,7 @@ def main() -> None:
           f"{victims} entries were closed before chronon {cutoff}.")
 
     # Strategy 1: entry-at-a-time deletion (cursor + delete loop).
-    c1, p1, t1, w1 = build()
+    c1, p1, t1 = copy_of(*history)
     before = p1.stats.snapshot()
     removed = 0
     for node in list(t1.iter_nodes()):
@@ -69,7 +83,7 @@ def main() -> None:
 
     # Strategy 2: drop the index, bulk load the survivors (Section 5.5's
     # "straightforward solution").
-    c2, p2, t2, w2 = build()
+    c2, p2, t2 = copy_of(*history)
     survivors = [
         (e.extent(), e.rowid)
         for node in t2.iter_nodes() if node.leaf
@@ -85,7 +99,7 @@ def main() -> None:
     rebuilt.check()
 
     # Strategy 3: the provided bulk-deletion algorithm.
-    c3, p3, t3, w3 = build()
+    c3, p3, t3 = copy_of(*history)
     before = p3.stats.snapshot()
     t3, removed3 = bulk_delete(t3, condition)
     io3 = p3.stats - before

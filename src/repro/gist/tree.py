@@ -18,16 +18,15 @@ forced reinsertion.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.gist.extension import GistExtension
+from repro.rtree.node import _NODE_HEADER, _POINTER, Node, NodeStoreBase
 from repro.rtree.rstar import RStarTree
 from repro.storage.buffer import BufferPool
 
-_NODE_HEADER = struct.Struct("<BHB")
 _KEY_LEN = struct.Struct("<H")
-_POINTER = struct.Struct("<qi")
 
 
 @dataclass
@@ -38,71 +37,44 @@ class GistEntry:
     child: Optional[int] = None
 
 
-@dataclass
-class GistNode:
-    page_id: int
-    leaf: bool
-    level: int = 0
-    entries: List[GistEntry] = field(default_factory=list)
-
-
-class GistNodeStore:
-    """Serializes GiST nodes, one per page, via the extension's codec."""
+class GistNodeStore(NodeStoreBase):
+    """The R* family's store with the extension's codec as the key: each
+    key is its ``compress``ed bytes behind a ``<H`` length, so entries
+    vary in size and a node fits while its bytes fit the page."""
 
     def __init__(self, buffer: BufferPool, extension: GistExtension) -> None:
-        self.buffer = buffer
         self.extension = extension
-        self.page_size = buffer.store.page_size
+        super().__init__(buffer, None)
 
-    def byte_size(self, node: GistNode) -> int:
-        size = _NODE_HEADER.size
-        for entry in node.entries:
-            size += _KEY_LEN.size + len(self.extension.compress(entry.key))
-            size += _POINTER.size
-        return size
+    def _body(self, node: Node) -> struct.Struct:
+        compress, pointer = self.extension.compress, _POINTER.format[1:]
+        return struct.Struct(
+            "<" + "".join(f"H{len(compress(e.key))}s{pointer}" for e in node.entries)
+        )
 
-    def fits(self, node: GistNode) -> bool:
-        return self.byte_size(node) <= self.page_size
+    def _fields(self, node: Node) -> list:
+        fields: list = []
+        for e in node.entries:
+            key = self.extension.compress(e.key)
+            fields += (len(key), key)
+            fields += (e.rowid, e.fragid) if node.leaf else (e.child, 0)
+        return fields
 
-    def allocate(self, leaf: bool, level: int = 0) -> GistNode:
-        return GistNode(self.buffer.allocate(), leaf, level)
-
-    def read(self, page_id: int) -> GistNode:
-        return self.buffer.read_decoded(page_id, self._decode)
-
-    def _decode(self, page_id: int, data: bytes) -> GistNode:
-        leaf, count, level = _NODE_HEADER.unpack_from(data, 0)
+    def _rows(self, data: bytes, count: int) -> Iterator[tuple]:
         offset = _NODE_HEADER.size
-        node = GistNode(page_id, bool(leaf), level)
         for _ in range(count):
             (key_len,) = _KEY_LEN.unpack_from(data, offset)
             offset += _KEY_LEN.size
-            key = self.extension.decompress(data[offset : offset + key_len])
+            key = data[offset : offset + key_len]
             offset += key_len
-            a, b = _POINTER.unpack_from(data, offset)
+            yield (key,) + _POINTER.unpack_from(data, offset)
             offset += _POINTER.size
-            if leaf:
-                node.entries.append(GistEntry(key, rowid=a, fragid=b))
-            else:
-                node.entries.append(GistEntry(key, child=a))
-        return node
 
-    def write(self, node: GistNode) -> None:
-        if not self.fits(node):
-            raise ValueError("GiST node overflow")
-        parts = [_NODE_HEADER.pack(node.leaf, len(node.entries), node.level)]
-        for entry in node.entries:
-            compressed = self.extension.compress(entry.key)
-            parts.append(_KEY_LEN.pack(len(compressed)))
-            parts.append(compressed)
-            if node.leaf:
-                parts.append(_POINTER.pack(entry.rowid, entry.fragid))
-            else:
-                parts.append(_POINTER.pack(entry.child, 0))
-        self.buffer.write(node.page_id, b"".join(parts), node)
-
-    def free(self, page_id: int) -> None:
-        self.buffer.free(page_id)
+    def _entries(self, leaf: bool, rows) -> List[GistEntry]:
+        decompress = self.extension.decompress
+        if leaf:
+            return [GistEntry(decompress(k), rowid=a, fragid=b) for k, a, b in rows]
+        return [GistEntry(decompress(k), child=a) for k, a, _ in rows]
 
 
 class GiST(RStarTree):
@@ -136,12 +108,12 @@ class GiST(RStarTree):
     def _keys(self, entries) -> List[Any]:
         return [e.key for e in entries]
 
-    def _parent_entry(self, node: GistNode) -> GistEntry:
+    def _parent_entry(self, node: Node) -> GistEntry:
         return GistEntry(
             self.extension.union(self._keys(node.entries)), child=node.page_id
         )
 
-    def _choose_subtree(self, node: GistNode, key: Any) -> int:
+    def _choose_subtree(self, node: Node, key: Any) -> int:
         """The entry whose key the extension's penalty grows least."""
         return min(
             range(len(node.entries)),
@@ -156,9 +128,6 @@ class GiST(RStarTree):
         )
         return [entries[i] for i in group_a], [entries[i] for i in group_b]
 
-    def _overflows(self, node: GistNode) -> bool:
-        return not self.store.fits(node)
-
     def _same_key(self, entry: GistEntry, target: GistEntry) -> bool:
         compress = self.extension.compress
         return compress(entry.key) == compress(target.key)
@@ -171,7 +140,7 @@ class GiST(RStarTree):
             return self.extension.matches(entry.key, query)
         return self.extension.consistent(entry.key, query)
 
-    def _bound_fault(self, entry: GistEntry, child: GistNode) -> Optional[str]:
+    def _bound_fault(self, entry: GistEntry, child: Node) -> Optional[str]:
         if child.entries and not self._covers(
             entry.key, self.extension.union(self._keys(child.entries))
         ):

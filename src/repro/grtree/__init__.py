@@ -12,7 +12,7 @@ hidden under taller fixed rectangles, Figure 4(c)).
 from repro.grtree.check import TreeInvariantError, check_tree, verify_tree
 from repro.grtree.cursor import Cursor
 from repro.grtree.entries import GREntry, Predicate, bound_entries
-from repro.grtree.node import GRNode, GRNodeStore
+from repro.grtree.node import GRNodeStore
 from repro.grtree.specialize import SpecializedOps, numpy_available
 from repro.grtree.tree import GRTree
 from repro.grtree.bulk import bulk_load
@@ -22,7 +22,6 @@ __all__ = [
     "GREntry",
     "Predicate",
     "bound_entries",
-    "GRNode",
     "GRNodeStore",
     "GRTree",
     "SpecializedOps",

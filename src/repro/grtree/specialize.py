@@ -19,11 +19,11 @@ type and query *once*, at bind time):
 
 * **Vectorized node evaluation.**  A node's entry timestamps are
   mirrored into a contiguous :class:`NodeColumns` array (built lazily on
-  first use after deserialization, cached on the :class:`GRNode`, and
-  invalidated by :meth:`GRNodeStore.write` -- every tree mutation passes
-  through a store write before the operation returns).  The ``UC``/
-  ``NOW`` resolution and Hidden-flag adjustment of Section 3, all four
-  strategy predicates, the R* insertion penalties, and
+  first use after deserialization, cached as the node's ``cols``, and
+  dropped by :meth:`repro.rtree.node.NodeStoreBase.write` -- every tree
+  mutation passes through a store write before the operation returns).
+  The ``UC``/``NOW`` resolution and Hidden-flag adjustment of Section 3,
+  all four strategy predicates, the R* insertion penalties, and
   :func:`bound_entries` are then evaluated for a whole node in a few
   numpy calls instead of a Python loop.
 

@@ -43,8 +43,9 @@ from repro.grtree.entries import (
     bound_entries,
     same_timestamps,
 )
-from repro.grtree.node import GRNode, GRNodeStore
+from repro.grtree.node import GRNodeStore
 from repro.grtree.specialize import SpecializedOps
+from repro.rtree.node import Node
 from repro.rtree.rstar import RStarTree
 from repro.temporal.chronon import Chronon, Clock
 from repro.temporal.extent import TimeExtent
@@ -156,7 +157,7 @@ class GRTree(RStarTree):
         t = self._eval_time
         return [e.region(t) for e in entries]
 
-    def _parent_entry(self, node: GRNode) -> GREntry:
+    def _parent_entry(self, node: Node) -> GREntry:
         """Bounding entry for *node*'s entries at the current time."""
         bound = self.spec.bound(node, self.now)
         if bound is None:
@@ -164,13 +165,13 @@ class GRTree(RStarTree):
         bound.child = node.page_id
         return bound
 
-    def _least_area_enlargement(self, node: GRNode, region: Region) -> int:
+    def _least_area_enlargement(self, node: Node, region: Region) -> int:
         best = self.spec.least_area_enlargement(node, region, self._eval_time)
         if best is not None:
             return best
         return super()._least_area_enlargement(node, region)
 
-    def _least_overlap_enlargement(self, node: GRNode, region: Region) -> int:
+    def _least_overlap_enlargement(self, node: Node, region: Region) -> int:
         t = self._eval_time
         best = self.spec.least_overlap_enlargement(node, region, t)
         if best is not None:
@@ -219,7 +220,7 @@ class GRTree(RStarTree):
         super()._check_entry(entry, leaf, where, found)
         check_entry_shape(entry, leaf, where, self.now, found)
 
-    def _bound_fault(self, entry: GREntry, child: GRNode) -> Optional[str]:
+    def _bound_fault(self, entry: GREntry, child: Node) -> Optional[str]:
         for t in (self.now, self.now + self.CHECK_HORIZON):
             try:
                 bound = entry.region(t)

@@ -36,7 +36,9 @@ The hooks, with the R*-tree's own implementations below:
   ``_least_overlap_enlargement``; ``_choose_split`` (R*: choose the axis
   by margin sum, the distribution by overlap, ties by area);
 * ``_parent_entry`` (the entry bounding a node in its parent),
-  ``_overflows`` (entry count), ``REINSERT`` and ``min_entries``;
+  ``REINSERT`` and ``min_entries``.  Overflow is not a hook:
+  ``_overflows`` asks the store's ``fits``
+  (:class:`~repro.rtree.node.NodeStoreBase`);
 * ``_same_key``, ``_delete_key`` and ``_encloses`` for the deletion
   descent, ``_matches`` for search;
 * ``_check_entry`` and ``_bound_fault`` for the walker, ``meta_page``
@@ -51,7 +53,7 @@ import math
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.rtree.geometry import Rect, union_all
-from repro.rtree.node import Entry, Node, NodeStore
+from repro.rtree.node import Entry, Node, NodeStoreBase
 from repro.storage.buffer import own
 
 
@@ -82,7 +84,7 @@ def _live_page_ids(store) -> Optional[Set[int]]:
 
 
 class RStarTree:
-    """A disk-based R*-tree over a :class:`~repro.rtree.node.NodeStore`;
+    """A disk-based R*-tree over a :class:`~repro.rtree.node.NodeStoreBase`;
     the base class of every dynamic tree (see the module docstring)."""
 
     #: Forced reinsertion before the first split on each level.
@@ -95,7 +97,7 @@ class RStarTree:
 
     def __init__(
         self,
-        store: NodeStore,
+        store: NodeStoreBase,
         min_fill: float = 0.4,
         reinsert_fraction: float = 0.3,
         root_id: Optional[int] = None,
@@ -140,7 +142,9 @@ class RStarTree:
         return Entry(node.mbr(), child=node.page_id)
 
     def _overflows(self, node) -> bool:
-        return len(node.entries) > self.max_entries
+        """Overflow is the store's call: more entries than a page holds
+        (fixed-size keys), or more bytes (the GiST's compressed keys)."""
+        return not self.store.fits(node)
 
     def _same_key(self, entry: Entry, target: Entry) -> bool:
         return entry.rect == target.rect

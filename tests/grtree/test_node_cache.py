@@ -11,7 +11,7 @@ are in ``tests/storage/test_decoded_pages.py``.
 
 import random
 
-from repro.grtree.node import GRNodeStore, _decode
+from repro.grtree.node import GRNodeStore
 from repro.grtree.tree import GRTree
 from repro.storage.buffer import BufferPool
 from repro.storage.pages import InMemoryPageStore
@@ -24,7 +24,7 @@ class DecodeEveryRead(GRNodeStore):
     """A store that decodes the page bytes on every read."""
 
     def read(self, page_id):
-        return _decode(page_id, self.buffer.read(page_id))
+        return self.decode(page_id, self.buffer.read(page_id))
 
 
 def make_tree(page_size=512, now=100, capacity=64, store_class=GRNodeStore):

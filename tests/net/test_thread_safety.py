@@ -15,9 +15,13 @@ import time
 
 import pytest
 
+from repro.gist.extensions import Interval, IntervalExtension
+from repro.gist.tree import GistEntry, GistNodeStore
 from repro.grtree.entries import GREntry
-from repro.grtree.node import GRNode, GRNodeStore
+from repro.grtree.node import GRNodeStore
 from repro.obs.metrics import MetricsRegistry
+from repro.rtree.geometry import Rect
+from repro.rtree.node import Entry, Node, NodeStore
 from repro.server import DatabaseServer
 from repro.storage.buffer import BufferPool
 from repro.storage.locks import (
@@ -130,29 +134,54 @@ class TestStatementCache:
         assert db.execute("SELECT * FROM relation_0", session) == [{"a": 5}]
 
 
+#: Each R*-family store: its constructor, a leaf entry whose key
+#: carries a page id, and how to read that page id back out of the key.
+NODE_STORES = {
+    "grtree": (
+        GRNodeStore,
+        lambda page_id, rowid: GREntry(page_id, page_id + 1, 0, 1, rowid=rowid),
+        lambda entry: entry.tt_begin,
+    ),
+    "rtree": (
+        NodeStore,
+        lambda page_id, rowid: Entry(
+            Rect((page_id, 0), (page_id + 1, 1)), rowid=rowid
+        ),
+        lambda entry: entry.rect.lo[0],
+    ),
+    "gist-interval": (
+        lambda pool: GistNodeStore(pool, IntervalExtension()),
+        lambda page_id, rowid: GistEntry(
+            Interval(page_id, page_id + 1), rowid=rowid
+        ),
+        lambda entry: entry.key.lo,
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(NODE_STORES))
 class TestNodeCacheStore:
-    """A GR-tree store over a pool too small for its pages: decoded
+    """A tree's node store over a pool too small for its pages: decoded
     nodes come and go with the frames while threads read and write."""
 
     PAGES = 48
 
-    def build_store(self):
+    def build_store(self, kind):
+        make_store, make_entry, page_of = NODE_STORES[kind]
         pool = BufferPool(InMemoryPageStore(page_size=512), capacity=8)
-        store = GRNodeStore(pool)
+        store = make_store(pool)
         page_ids = []
         for i in range(self.PAGES):
             node = store.allocate(leaf=True)
-            # The page id round-trips through the entry payload, so a
+            # The page id round-trips through the entry's key, so a
             # cross-wired frame is caught by content, not just key.
-            node.entries.append(
-                GREntry(node.page_id, node.page_id + 1, 0, 1, rowid=i)
-            )
+            node.entries.append(make_entry(node.page_id, i))
             store.write(node)
             page_ids.append(node.page_id)
-        return store, page_ids
+        return store, page_ids, make_entry, page_of
 
-    def test_concurrent_reads_return_correct_nodes(self, lock_audit):
-        store, page_ids = self.build_store()
+    def test_concurrent_reads_return_correct_nodes(self, kind, lock_audit):
+        store, page_ids, _, page_of = self.build_store(kind)
         pool = store.buffer
         pool.decode_hits = pool.decodes = 0
         reads_per_thread = 600
@@ -163,15 +192,15 @@ class TestNodeCacheStore:
                 page_id = rng.choice(page_ids)
                 node = store.read(page_id)
                 assert node.page_id == page_id
-                assert node.entries[0].tt_begin == page_id
+                assert page_of(node.entries[0]) == page_id
 
         hammer(worker)
         assert pool.resident_pages <= pool.capacity
         assert pool.decode_hits + pool.decodes == THREADS * reads_per_thread
         assert pool.decodes > 0
 
-    def test_concurrent_read_write_mix_never_corrupts(self, lock_audit):
-        store, page_ids = self.build_store()
+    def test_concurrent_read_write_mix_never_corrupts(self, kind, lock_audit):
+        store, page_ids, make_entry, page_of = self.build_store(kind)
 
         def worker(index):
             rng = random.Random(100 + index)
@@ -179,18 +208,16 @@ class TestNodeCacheStore:
                 page_id = rng.choice(page_ids)
                 if index % 2:
                     node = store.read(page_id)
-                    assert node.entries[0].tt_begin == page_id
+                    assert page_of(node.entries[0]) == page_id
                 else:
-                    node = GRNode(page_id, leaf=True)
-                    node.entries.append(
-                        GREntry(page_id, page_id + 1, 0, 1, rowid=index)
-                    )
+                    node = Node(page_id, leaf=True)
+                    node.entries.append(make_entry(page_id, index))
                     store.write(node)
 
         hammer(worker)
         assert store.buffer.resident_pages <= store.buffer.capacity
         for page_id in page_ids:
-            assert store.read(page_id).entries[0].tt_begin == page_id
+            assert page_of(store.read(page_id).entries[0]) == page_id
 
 
 class TestLockManager:

@@ -26,7 +26,6 @@ from repro.btree.node import BTreeEntry, BTreeNodeStore
 from repro.btree.tree import BPlusTree
 from repro.gist.extensions import RectExtension
 from repro.gist.tree import GiST, GistEntry, GistNodeStore
-from repro.grtree import node as grnode
 from repro.grtree.entries import GREntry
 from repro.grtree.node import GRNodeStore
 from repro.grtree.tree import GRTree
@@ -107,7 +106,7 @@ def grtree(pool) -> Structure:
     store = GRNodeStore(pool)
     tree = GRTree(store, Clock(now=100))
     return Structure(
-        store, lambda i: GREntry.from_extent(extent(i), i), grnode._decode,
+        store, lambda i: GREntry.from_extent(extent(i), i), store.decode,
         lambda i: tree.insert(extent(i), i), lambda i: tree.delete(extent(i), i),
         tree_pages(tree),
     )
@@ -117,7 +116,7 @@ def rstar(pool) -> Structure:
     store = NodeStore(pool)
     tree = RStarTree(store)
     return Structure(
-        store, lambda i: Entry(rect(i), rowid=i), store._decode,
+        store, lambda i: Entry(rect(i), rowid=i), store.decode,
         lambda i: tree.insert(rect(i), i), lambda i: tree.delete(rect(i), i),
         tree_pages(tree),
     )
@@ -127,7 +126,7 @@ def gist(pool) -> Structure:
     store = GistNodeStore(pool, RectExtension())
     tree = GiST(store)
     return Structure(
-        store, lambda i: GistEntry(rect(i), rowid=i), store._decode,
+        store, lambda i: GistEntry(rect(i), rowid=i), store.decode,
         lambda i: tree.insert(rect(i), i), lambda i: tree.delete(rect(i), i),
         tree_pages(tree),
     )
