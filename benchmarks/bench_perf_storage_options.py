@@ -139,7 +139,7 @@ def test_perf5_os_file_vs_sbspace_services(benchmark, tmp_path, write_artifact):
             tree = GRTree.create(GRNodeStore(pool), clock)
             for i in range(300):
                 tree.insert(TimeExtent(100, UC, 95, NOW), rowid=i)
-            pool.flush()
+            tree.flush()
             return tree.meta_page
 
     meta_page = benchmark.pedantic(build_on_os_file, rounds=3, iterations=1)

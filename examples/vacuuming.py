@@ -31,7 +31,7 @@ def build(seed: int = 7):
                        clock_advance_probability=0.6),
     )
     workload.run(tree, 3000)
-    pool.flush()
+    tree.flush()
     return clock, pool, tree
 
 

@@ -106,17 +106,15 @@ class GRTreeDataBlade(AccessMethodBlade):
         if session is None or not session.in_transaction:
             return self.server.clock.now
         key = self._named_now_key(session)
-        if self.server.memory.named_exists(key):
-            return self.server.memory.named_get(key)
-        value = self.server.clock.now
-        self.server.memory.named_allocate(key, value)
+        if not self.server.memory.named_exists(key):
+            self.server.memory.named_allocate(key, self.server.clock.now)
 
-        def free_named_now(ended_session, committed: bool) -> None:
-            if self.server.memory.named_exists(key):
-                self.server.memory.named_free(key)
+            def free_named_now(ended_session, committed: bool) -> None:
+                if self.server.memory.named_exists(key):
+                    self.server.memory.named_free(key)
 
-        session.register_end_callback(free_named_now)
-        return value
+            session.register_end_callback(free_named_now)
+        return self.server.memory.named_get(key)
 
     def am_create(self, td: IndexDescriptor) -> int:
         super().am_create(td)
@@ -197,6 +195,9 @@ class GRTreeDataBlade(AccessMethodBlade):
         return _BladeScan(
             td.user_data["tree"], branches, self._sample_current_time(td.session)
         )
+
+    def save(self, td: IndexDescriptor) -> None:
+        td.user_data["tree"].save_meta()
 
     def encode(self, td, value) -> TimeExtent:
         if not isinstance(value, TimeExtent):

@@ -46,19 +46,18 @@ class GistNodeStore(NodeStoreBase):
         self.extension = extension
         super().__init__(buffer, None)
 
-    def _body(self, node: Node) -> struct.Struct:
+    def _layout(self, node: Node) -> Tuple[struct.Struct, list]:
+        """Each key compressed once: its length sizes the struct and
+        its bytes are packed."""
         compress, pointer = self.extension.compress, _POINTER.format[1:]
-        return struct.Struct(
-            "<" + "".join(f"H{len(compress(e.key))}s{pointer}" for e in node.entries)
-        )
-
-    def _fields(self, node: Node) -> list:
+        formats: List[str] = []
         fields: list = []
         for e in node.entries:
-            key = self.extension.compress(e.key)
+            key = compress(e.key)
+            formats.append(f"H{len(key)}s{pointer}")
             fields += (len(key), key)
             fields += (e.rowid, e.fragid) if node.leaf else (e.child, 0)
-        return fields
+        return struct.Struct("<" + "".join(formats)), fields
 
     def _rows(self, data: bytes, count: int) -> Iterator[tuple]:
         offset = _NODE_HEADER.size

@@ -110,7 +110,7 @@ def bulk_load(
     tree.root_id = level_nodes[0].page_id
     tree.height = level + 1
     tree.size = len(entries)
-    tree._write_meta()
+    tree.save_meta()
     return tree
 
 
@@ -148,5 +148,5 @@ def bulk_delete(
     if rebuilt.meta_page is not None and tree.meta_page is not None:
         tree.store.buffer.free(rebuilt.meta_page)
     rebuilt.meta_page = tree.meta_page
-    rebuilt._write_meta()
+    rebuilt.save_meta()
     return rebuilt, removed

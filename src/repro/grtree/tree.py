@@ -21,8 +21,9 @@ hooks where the GR-tree differs:
   the tree's own :mod:`~repro.grtree.specialize` kernels whenever they
   accept (numpy present, a node of at least ``MIN_BATCH`` entries, none
   decoding empty), and the paper's per-entry loops otherwise;
-* root, height, size and horizon live on a meta page, rewritten after
-  every insert, delete and root growth;
+* root, height, size and horizon live on a meta page, written by
+  :meth:`GRTree.save_meta` when they changed: once per statement (the
+  blade's ``save``), or by :meth:`GRTree.flush` for direct users;
 * the walker additionally checks containment at two times and the
   stair shape of every entry (:mod:`repro.grtree.check`).
 
@@ -91,6 +92,9 @@ class GRTree(RStarTree):
         self.spec = SpecializedOps()
         self.time_horizon = time_horizon
         self.meta_page = meta_page
+        #: The meta page last written and what it holds: (page, root,
+        #: height, size, horizon).
+        self._saved_meta: Optional[Tuple[int, ...]] = None
         super().__init__(store, min_fill, reinsert_fraction, root_id, height, size)
 
     # ------------------------------------------------------------------
@@ -101,7 +105,7 @@ class GRTree(RStarTree):
     def create(cls, store: GRNodeStore, clock: Clock, **kwargs) -> "GRTree":
         meta_page = store.buffer.allocate()
         tree = cls(store, clock, meta_page=meta_page, **kwargs)
-        tree._write_meta()
+        tree.save_meta()
         return tree
 
     @classmethod
@@ -113,7 +117,7 @@ class GRTree(RStarTree):
             raise ValueError("storage does not contain a GR-tree") from exc
         if magic != _META_MAGIC:
             raise ValueError("storage does not contain a GR-tree")
-        return cls(
+        tree = cls(
             store,
             clock,
             time_horizon=horizon,
@@ -122,16 +126,24 @@ class GRTree(RStarTree):
             height=height,
             size=size,
         )
+        tree._saved_meta = (meta_page, root_id, height, size, horizon)
+        return tree
 
-    def _write_meta(self) -> None:
-        if self.meta_page is None:
+    def save_meta(self) -> None:
+        """Write root, height, size and horizon to the meta page, if they
+        changed since it was last written."""
+        state = (self.meta_page, self.root_id, self.height, self.size,
+                 self.time_horizon)
+        if self.meta_page is None or state == self._saved_meta:
             return
-        self.store.buffer.write(
-            self.meta_page,
-            _META.pack(
-                _META_MAGIC, self.root_id, self.height, self.size, self.time_horizon
-            ),
-        )
+        self.store.buffer.write(self.meta_page, _META.pack(_META_MAGIC, *state[1:]))
+        self._saved_meta = state
+
+    def flush(self) -> None:
+        """:meth:`save_meta`, then write every dirty page to the store:
+        what a direct user calls before the storage is reopened."""
+        self.save_meta()
+        self.store.buffer.flush()
 
     @property
     def now(self) -> Chronon:

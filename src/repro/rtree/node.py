@@ -9,9 +9,10 @@ level), then per entry a key and a ``<qi`` pointer -- ``(rowid,
 fragid)``, the paper's Appendix A tuple id, in leaves and ``(child page
 id, 0)`` in internal nodes.  Each tree's store supplies only its key.
 
-A write packs the whole node with one ``pack_into`` into a reusable
-page-sized scratch ``bytearray``; a read batch-decodes with
-``iter_unpack``.  The buffer pool keeps decoded nodes
+A write encodes the node once -- the same encoding tells whether it
+fits (:meth:`NodeStoreBase.write_if_fits`) -- and packs it with one
+``pack_into`` into a reusable page-sized scratch ``bytearray``; a read
+batch-decodes with ``iter_unpack``.  The buffer pool keeps decoded nodes
 (:meth:`~repro.storage.buffer.BufferPool.read_decoded`), and a written
 node is installed as its frame's decoded form.
 """
@@ -22,7 +23,7 @@ import functools
 import struct
 import threading
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional
+from typing import Iterable, List, Optional, Tuple
 
 from repro.rtree.geometry import Rect, union_all
 from repro.storage.buffer import BufferPool
@@ -85,7 +86,7 @@ class NodeStoreBase:
     ``_fields(node)``, the node's entries as one flat list (each key's
     fields, then its pointer), and ``_entries(leaf, rows)``, unpacked
     rows back to entries.  A store whose keys vary in size passes
-    ``None`` and overrides :meth:`_body` and :meth:`_rows`; it has no
+    ``None`` and overrides :meth:`_layout` and :meth:`_rows`; it has no
     ``capacity``.
     """
 
@@ -111,9 +112,9 @@ class NodeStoreBase:
         self._scratch = bytearray(self.page_size)
         self._scratch_used = 0
 
-    def _body(self, node: Node) -> struct.Struct:
-        """The struct that packs *node*'s entries."""
-        return _body_struct(self._entry_format, len(node.entries))
+    def _layout(self, node: Node) -> Tuple[struct.Struct, list]:
+        """The struct that packs *node*'s entries, and what it packs."""
+        return _body_struct(self._entry_format, len(node.entries)), self._fields(node)
 
     def _rows(self, data: bytes, count: int) -> Iterable[tuple]:
         """The *count* entries of page *data*, unpacked."""
@@ -126,7 +127,7 @@ class NodeStoreBase:
         """Whether *node* fits its page.  With fixed-size keys this is
         ``len(node) <= capacity``, as capacity is
         ``(page size - header) // entry size``."""
-        return _NODE_HEADER.size + self._body(node).size <= self.page_size
+        return _NODE_HEADER.size + self._layout(node)[0].size <= self.page_size
 
     def allocate(self, leaf: bool, level: int = 0) -> Node:
         with self._lock:
@@ -143,24 +144,31 @@ class NodeStoreBase:
         return Node(page_id, bool(leaf), level, entries)
 
     def write(self, node: Node) -> None:
+        if not self.write_if_fits(node):
+            raise ValueError(
+                f"node overflow: {len(node.entries)} entries do not fit a "
+                f"{self.page_size}-byte page"
+            )
+
+    def write_if_fits(self, node: Node) -> bool:
+        """Encode *node* once and write it if it fits its page; return
+        whether it did."""
         with self._lock:
             node.cols = None  # entries may have changed: the mirror is stale
-            body = self._body(node)
+            body, fields = self._layout(node)
             end = _NODE_HEADER.size + body.size
             if end > self.page_size:
-                raise ValueError(
-                    f"node overflow: {len(node.entries)} entries need {end} "
-                    f"bytes > page size {self.page_size}"
-                )
+                return False
             buf = self._scratch
             _NODE_HEADER.pack_into(buf, 0, node.leaf, len(node.entries), node.level)
-            body.pack_into(buf, _NODE_HEADER.size, *self._fields(node))
+            body.pack_into(buf, _NODE_HEADER.size, *fields)
             if end < self._scratch_used:
                 # Zero the residue of a previously larger node so pages stay
                 # byte-deterministic (snapshot/diff tests rely on it).
                 buf[end : self._scratch_used] = bytes(self._scratch_used - end)
             self._scratch_used = end
             self.buffer.write(node.page_id, bytes(buf), node)
+            return True
 
     def free(self, page_id: int) -> None:
         with self._lock:

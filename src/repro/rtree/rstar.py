@@ -36,15 +36,14 @@ The hooks, with the R*-tree's own implementations below:
   ``_least_overlap_enlargement``; ``_choose_split`` (R*: choose the axis
   by margin sum, the distribution by overlap, ties by area);
 * ``_parent_entry`` (the entry bounding a node in its parent),
-  ``REINSERT`` and ``min_entries``.  Overflow is not a hook:
-  ``_overflows`` asks the store's ``fits``
+  ``REINSERT`` and ``min_entries``.  Overflow is not a hook: a node
+  overflows when the store's ``write_if_fits`` cannot write it
   (:class:`~repro.rtree.node.NodeStoreBase`);
 * ``_same_key``, ``_delete_key`` and ``_encloses`` for the deletion
   descent, ``_matches`` for search;
 * ``_check_entry`` and ``_bound_fault`` for the walker, ``meta_page``
   (a page of the tree's own record, counted as reachable);
-* ``_write_meta`` and ``_note`` (persist or count what the tree keeps
-  outside its nodes; no-ops here).
+* ``_note`` (count an operation, for trees observed; a no-op here).
 """
 
 from __future__ import annotations
@@ -141,11 +140,6 @@ class RStarTree:
     def _parent_entry(self, node: Node) -> Entry:
         return Entry(node.mbr(), child=node.page_id)
 
-    def _overflows(self, node) -> bool:
-        """Overflow is the store's call: more entries than a page holds
-        (fixed-size keys), or more bytes (the GiST's compressed keys)."""
-        return not self.store.fits(node)
-
     def _same_key(self, entry: Entry, target: Entry) -> bool:
         return entry.rect == target.rect
 
@@ -175,9 +169,6 @@ class RStarTree:
             return f"bound is not the exact MBR of child {entry.child}"
         return None
 
-    def _write_meta(self) -> None:
-        """Persist root, height and size, for trees that keep them on a page."""
-
     def _note(self, event: str) -> None:
         """Count an insert, delete or condensation, for trees observed."""
 
@@ -192,7 +183,6 @@ class RStarTree:
         self._reinserted_levels = set()
         self._insert_entry(self._leaf_entry(key, rowid, fragid), level=0)
         self.size += 1
-        self._write_meta()
 
     def _insert_entry(self, entry, level: int) -> None:
         path = self._choose_path(entry, level)
@@ -247,11 +237,14 @@ class RStarTree:
         """Write back a modified path, treating overflows bottom-up.
 
         ``path[-1]`` got an entry; above it, a node is written only if
-        its entry for the child below changed (or a split gave it one)."""
+        its entry for the child below changed (or a split gave it one).
+        A node overflows when the store cannot write it: more entries
+        than a page holds (fixed-size keys), or more bytes (the GiST's
+        compressed keys); an unchanged node fits as it did."""
         changed = True
         for depth in range(len(path) - 1, -1, -1):
             node = path[depth]
-            if self._overflows(node):
+            if changed and not self.store.write_if_fits(node):
                 if (
                     self.REINSERT
                     and depth > 0
@@ -266,8 +259,6 @@ class RStarTree:
                     changed = True
                     continue
                 return
-            if changed:
-                self.store.write(node)
             if depth > 0:
                 changed = self._refresh_child(path[depth - 1], node)
 
@@ -323,7 +314,6 @@ class RStarTree:
             self.store.write(new_root)
             self.root_id = new_root.page_id
             self.height += 1
-            self._write_meta()
             return
         parent = path[depth - 1]
         self._refresh_child(parent, node)
@@ -385,7 +375,6 @@ class RStarTree:
         self.size -= 1
         self._condense(path)
         self._shrink_root()
-        self._write_meta()
         return True
 
     def _find_leaf_path(self, node, target, path: list):
@@ -531,7 +520,7 @@ class RStarTree:
                 found.append(f"page {page_id} underfull: {count} < {self.min_entries}")
             if page_id == self.root_id and not node.leaf and count < 2:
                 found.append(f"internal root {page_id} has {count} entries")
-            if self._overflows(node):
+            if not self.store.fits(node):
                 found.append(f"page {page_id} overfull: {count} entries")
             for i, entry in enumerate(node.entries):
                 where = f"page {page_id} entry {i}"

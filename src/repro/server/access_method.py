@@ -190,17 +190,21 @@ class AccessMethodRegistry:
 
     def __init__(self) -> None:
         self._methods: Dict[str, SecondaryAccessMethod] = {}
+        #: Bumped by every change (see ``SystemCatalog.version``).
+        self.changes = 0
 
     def register(self, am: SecondaryAccessMethod) -> SecondaryAccessMethod:
         key = am.name.lower()
         if key in self._methods:
             raise AccessMethodError(f"access method {am.name} already exists")
         self._methods[key] = am
+        self.changes += 1
         return am
 
     def unregister(self, name: str) -> None:
         if self._methods.pop(name.lower(), None) is None:
             raise AccessMethodError(f"no access method {name}")
+        self.changes += 1
 
     def get(self, name: str) -> SecondaryAccessMethod:
         try:

@@ -52,6 +52,20 @@ class SystemCatalog:
         self._tables: Dict[str, Table] = {}
         self._indices: Dict[str, IndexInfo] = {}
         self._fragments: List[FragmentInfo] = []
+        self._changes = 0
+
+    @property
+    def version(self) -> int:
+        """Grows with every catalog change: a table, an index, a routine,
+        an access method or an operator class created, dropped or
+        altered.  Cached plan analyses carry the version they were made
+        at (:mod:`repro.server.optimizer`)."""
+        return (
+            self._changes
+            + self.routines.changes
+            + self.access_methods.changes
+            + self.opclasses.changes
+        )
 
     # -- SYSTABLES -------------------------------------------------------
 
@@ -60,6 +74,7 @@ class SystemCatalog:
         if key in self._tables:
             raise CatalogError(f"table {table.name} already exists")
         self._tables[key] = table
+        self._changes += 1
         return table
 
     def drop_table(self, name: str) -> Table:
@@ -69,6 +84,7 @@ class SystemCatalog:
                 f"table {name} still has index {index.name}; drop it first"
             )
         del self._tables[name.lower()]
+        self._changes += 1
         return table
 
     def get_table(self, name: str) -> Table:
@@ -92,6 +108,7 @@ class SystemCatalog:
         self.get_table(info.table_name)  # must exist
         self._indices[key] = info
         self._fragments.append(FragmentInfo(info.name, 0))
+        self._changes += 1
         return info
 
     def drop_index(self, name: str) -> IndexInfo:
@@ -99,6 +116,7 @@ class SystemCatalog:
             info = self._indices.pop(name.lower())
         except KeyError:
             raise CatalogError(f"no index {name}") from None
+        self._changes += 1
         self._fragments = [
             f for f in self._fragments if f.index_name.lower() != name.lower()
         ]

@@ -363,19 +363,19 @@ class Executor:
         )
         self._check_staleness(session)
         with session.autocommit():
-            rows = self._scan_rows(table, stmt.where, session)
+            rows = self._scan_rows(table, stmt.where, session, stmt.plan_cache)
             return [
                 {name: row[name] for name in projection} for _, row in rows
             ]
 
     def _scan_rows(
-        self, table: Table, where: Optional[ast.Expr], session
+        self, table: Table, where: Optional[ast.Expr], session, plan_cache
     ) -> List[Tuple[int, Dict[str, Any]]]:
         """Produce qualifying (rowid, row) pairs via the chosen plan."""
         obs = self.server.obs
         if obs.enabled:
             with obs.span("plan.choose", table=table.name) as span:
-                plan = choose_plan(self.server, table, where)
+                plan = choose_plan(self.server, table, where, plan_cache)
                 span.attrs["plan"] = type(plan).__name__
                 if not isinstance(plan, SeqScanPlan):
                     span.attrs["index"] = plan.index.name
@@ -385,7 +385,7 @@ class Executor:
                 else "plan.indexscan"
             )
         else:
-            plan = choose_plan(self.server, table, where)
+            plan = choose_plan(self.server, table, where, plan_cache)
         self.server.last_plan = plan
         results: List[Tuple[int, Dict[str, Any]]] = []
         if isinstance(plan, SeqScanPlan):
@@ -422,7 +422,7 @@ class Executor:
     def _delete(self, stmt: ast.Delete, session) -> int:
         table = self.server.catalog.get_table(stmt.table)
         with session.autocommit():
-            victims = self._scan_rows(table, stmt.where, session)
+            victims = self._scan_rows(table, stmt.where, session, stmt.plan_cache)
             with self.writing(table, session) as writer:
                 for rowid, _ in victims:
                     writer.delete(rowid)
@@ -432,7 +432,7 @@ class Executor:
         table = self.server.catalog.get_table(stmt.table)
         changes = self._bind(table, stmt.assignments)
         with session.autocommit():
-            victims = self._scan_rows(table, stmt.where, session)
+            victims = self._scan_rows(table, stmt.where, session, stmt.plan_cache)
             with self.writing(table, session) as writer:
                 for rowid, row in victims:
                     writer.update(rowid, {**row, **changes})

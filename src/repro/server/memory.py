@@ -36,6 +36,8 @@ class MemoryManager:
     def __init__(self) -> None:
         self._by_duration: Dict[Duration, List[Any]] = defaultdict(list)
         self._named: Dict[str, Any] = {}
+        #: Duration-scoped allocations not yet freed, over all durations.
+        self._live = 0
         #: Counters surfaced to tests (leaks manifest as nonzero residue).
         self.allocations = 0
         self.frees = 0
@@ -49,16 +51,20 @@ class MemoryManager:
         holder = {} if value is None else value
         self._by_duration[duration].append(holder)
         self.allocations += 1
+        self._live += 1
         return holder
 
     def end_duration(self, duration: Duration) -> int:
         """Free everything at *duration* and every shorter duration."""
+        if not self._live:
+            return 0  # the usual case: nothing was allocated
         order = list(Duration)
         freed = 0
         for d in order[: order.index(duration) + 1]:
             freed += len(self._by_duration[d])
             self._by_duration[d].clear()
         self.frees += freed
+        self._live -= freed
         return freed
 
     def live_count(self, duration: Duration) -> int:

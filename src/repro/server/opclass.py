@@ -30,8 +30,7 @@ class OperatorClass:
         return any(s.lower() == lowered for s in self.strategies)
 
     def is_support(self, function_name: str) -> bool:
-        lowered = function_name.lower()
-        return any(s.lower() == lowered for s in self.supports)
+        return function_name.lower() in (s.lower() for s in self.supports)
 
     def extended_with(
         self,
@@ -53,22 +52,26 @@ class OperatorClassRegistry:
 
     def __init__(self) -> None:
         self._classes: Dict[str, OperatorClass] = {}
+        #: Bumped by every change (see ``SystemCatalog.version``).
+        self.changes = 0
 
     def register(self, opclass: OperatorClass) -> OperatorClass:
-        key = opclass.name.lower()
-        if key in self._classes:
+        if opclass.name.lower() in self._classes:
             raise AccessMethodError(f"operator class {opclass.name} already exists")
-        self._classes[key] = opclass
-        return opclass
+        return self.replace(opclass)
 
     def replace(self, opclass: OperatorClass) -> OperatorClass:
-        """Used when an existing operator class is *extended* in place."""
+        """Store *opclass* under its name, over any class there: how
+        ``register`` stores and how an operator class is *extended* in
+        place."""
         self._classes[opclass.name.lower()] = opclass
+        self.changes += 1
         return opclass
 
     def unregister(self, name: str) -> None:
         if self._classes.pop(name.lower(), None) is None:
             raise AccessMethodError(f"no operator class {name}")
+        self.changes += 1
 
     def get(self, name: str) -> OperatorClass:
         try:

@@ -17,7 +17,7 @@ the sequential-scan page count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 from repro.server.access_method import (
     BooleanOperator,
@@ -84,10 +84,17 @@ _OPERATOR_STRATEGY_NAMES = {
 }
 
 
-def _convert(expr: Expr, index: IndexInfo, table: Table, server) -> Optional[
-    Qualification
+#: Builds a conjunct's qualification from the conjunct itself: what
+#: :func:`_converter` worked out from the conjunct's shape is in the
+#: closure; the constant is read from the literal each time.
+Converter = Callable[[Expr], Qualification]
+
+
+def _converter(expr: Expr, index: IndexInfo, table: Table, server) -> Optional[
+    Converter
 ]:
-    """Convert an expression into a qualification for *index*, or None.
+    """How an expression converts into a qualification for *index*, or
+    None when it does not.
 
     Only single-column predicates survive (the paper's restriction):
     ``f(column, constant)``, ``f(constant, column)``, ``f(column)``,
@@ -95,25 +102,30 @@ def _convert(expr: Expr, index: IndexInfo, table: Table, server) -> Optional[
     ``column`` is the indexed column.  Comparison operators are treated
     as spellings of the corresponding strategy functions when the
     opclass declares them (the B+-tree's GreaterThan/LessThanOrEqual).
+    The answer depends on the expression's shape and the catalog, never
+    on its literals.
     """
     if isinstance(expr, FunctionCall):
-        return _convert_call(expr, index, table, server)
+        return _call_converter(expr, index, table, server)
     if isinstance(expr, Comparison):
-        return _convert_comparison(expr, index, table, server)
+        return _comparison_converter(expr, index, table, server)
     if isinstance(expr, (And, Or)):
-        children = [_convert(child, index, table, server) for child in expr.children]
+        children = [_converter(child, index, table, server) for child in expr.children]
         if any(child is None for child in children):
             return None
         operator = (
             BooleanOperator.AND if isinstance(expr, And) else BooleanOperator.OR
         )
-        return CompoundQualification(operator, children)  # type: ignore[arg-type]
+        return lambda e: CompoundQualification(
+            operator,
+            [convert(child) for convert, child in zip(children, e.children)],
+        )
     return None  # comparisons and NOT never reach the index interface
 
 
-def _convert_call(
+def _call_converter(
     call: FunctionCall, index: IndexInfo, table: Table, server
-) -> Optional[SimpleQualification]:
+) -> Optional[Converter]:
     opclasses = [server.catalog.opclasses.get(name) for name in index.opclass_names]
     if not any(oc.is_strategy(call.name) for oc in opclasses):
         return None
@@ -121,27 +133,29 @@ def _convert_call(
     literals = [a for a in call.args if isinstance(a, Literal)]
     if len(columns) != 1 or len(columns) + len(literals) != len(call.args):
         return None
-    column = columns[0]
-    if column.name.lower() not in (c.lower() for c in index.columns):
+    name, column = call.name, columns[0].name
+    if column.lower() not in (c.lower() for c in index.columns):
         return None
     if not literals:
-        return SimpleQualification(
-            call.name, column.name, has_constant=False
-        )
+        return lambda e: SimpleQualification(name, column, has_constant=False)
     if len(literals) != 1 or len(call.args) != 2:
         return None
-    column_type = table.column(column.name).data_type
-    constant = (
-        column_type.input(literals[0].text)
-        if literals[0].is_string
-        else literals[0].python_value
-    )
-    return SimpleQualification(
-        call.name,
-        column.name,
-        constant=constant,
-        constant_first=isinstance(call.args[0], Literal),
-    )
+    constant_first = isinstance(call.args[0], Literal)
+    position = 0 if constant_first else 1
+    column_type = table.column(column).data_type
+
+    def convert(e: FunctionCall) -> SimpleQualification:
+        literal = e.args[position]
+        constant = (
+            column_type.input(literal.text)
+            if literal.is_string
+            else literal.python_value
+        )
+        return SimpleQualification(
+            name, column, constant=constant, constant_first=constant_first
+        )
+
+    return convert
 
 
 #: CPU cost, in page-read equivalents, of one UDR invocation during a
@@ -161,9 +175,9 @@ def _contains_udr_call(expr: Optional[Expr]) -> bool:
     return False
 
 
-def _convert_comparison(
+def _comparison_converter(
     cmp: Comparison, index: IndexInfo, table: Table, server
-) -> Optional[SimpleQualification]:
+) -> Optional[Converter]:
     spellings = _OPERATOR_STRATEGY_NAMES.get(cmp.op)
     if spellings is None:
         return None
@@ -172,8 +186,8 @@ def _convert_comparison(
     literals = [s for s in sides if isinstance(s, Literal)]
     if len(columns) != 1 or len(literals) != 1:
         return None
-    column = columns[0]
-    if column.name.lower() not in (c.lower() for c in index.columns):
+    column = columns[0].name
+    if column.lower() not in (c.lower() for c in index.columns):
         return None
     # Does any of the index's opclasses declare a strategy spelling this
     # operator (e.g. "GreaterThan" or "BT_GreaterThan")?
@@ -188,53 +202,106 @@ def _convert_comparison(
             break
     if strategy_name is None:
         return None
-    column_type = table.column(column.name).data_type
-    literal = literals[0]
-    constant = (
-        column_type.input(literal.text)
-        if literal.is_string
-        else column_type.validate(literal.python_value)
-    )
-    return SimpleQualification(
-        strategy_name,
-        column.name,
-        constant=constant,
-        constant_first=isinstance(cmp.left, Literal),
-    )
+    column_type = table.column(column).data_type
+    constant_first = isinstance(cmp.left, Literal)
+
+    def convert(e: Comparison) -> SimpleQualification:
+        literal = e.left if constant_first else e.right
+        constant = (
+            column_type.input(literal.text)
+            if literal.is_string
+            else column_type.validate(literal.python_value)
+        )
+        return SimpleQualification(
+            strategy_name, column, constant=constant, constant_first=constant_first
+        )
+
+    return convert
 
 
-def choose_plan(server, table: Table, where: Optional[Expr]) -> Plan:
+@dataclass
+class _Candidate:
+    """An index some conjuncts convert for: (position, converter) of
+    each such conjunct, and the positions of the residual ones."""
+
+    index: IndexInfo
+    converters: List[Tuple[int, Converter]]
+    residual: List[int]
+
+
+@dataclass
+class _Analysis:
+    """What planning a WHERE clause learns from its shape alone, valid
+    while the catalog stays at *version*."""
+
+    version: int
+    calls_udr: bool
+    candidates: List[_Candidate]
+
+
+class PlanCache:
+    """The analysis shared by every statement of one shape: the
+    statement cache hands each statement it builds its shape's
+    ``PlanCache`` (``Select.plan_cache`` and the like)."""
+
+    __slots__ = ("analysis",)
+
+    def __init__(self) -> None:
+        self.analysis: Optional[_Analysis] = None
+
+
+def _analyze(server, table: Table, where: Optional[Expr], version: int) -> _Analysis:
+    conjuncts = _conjuncts(where)
+    candidates = []
+    for index in server.catalog.indices_on(table.name):
+        converters: List[Tuple[int, Converter]] = []
+        residual: List[int] = []
+        for position, conjunct in enumerate(conjuncts):
+            convert = _converter(conjunct, index, table, server)
+            if convert is None:
+                residual.append(position)
+            else:
+                converters.append((position, convert))
+        if converters:
+            candidates.append(_Candidate(index, converters, residual))
+    return _Analysis(version, _contains_udr_call(where), candidates)
+
+
+def choose_plan(
+    server, table: Table, where: Optional[Expr], cache: Optional[PlanCache] = None
+) -> Plan:
     """Pick the cheapest access path for the WHERE clause.
 
-    When ``server.prefer_virtual_index`` is set (the analogue of an
-    optimizer directive), any applicable virtual index wins outright.
+    Which indexes apply, how each conjunct converts and what is left as
+    a residual come from the shape's analysis in *cache* while the
+    catalog version it was made at holds, else from a fresh one; the
+    constants, ``am_scancost`` and the choice are worked out for every
+    statement.  When ``server.prefer_virtual_index`` is set (the
+    analogue of an optimizer directive), any applicable virtual index
+    wins outright.
     """
+    version = server.catalog.version
+    analysis = None if cache is None else cache.analysis
+    if analysis is None or analysis.version != version:
+        analysis = _analyze(server, table, where, version)
+        if cache is not None:
+            cache.analysis = analysis
     seq_cost = float(table.page_count)
-    if _contains_udr_call(where):
+    if analysis.calls_udr:
         seq_cost += _UDR_EVAL_COST * table.row_count
     best: Plan = SeqScanPlan(table, where, seq_cost)
     index_plans: List[IndexScanPlan] = []
     conjuncts = _conjuncts(where)
-    for index in server.catalog.indices_on(table.name):
-        usable: List[Qualification] = []
-        residual: List[Expr] = []
-        for conjunct in conjuncts:
-            qual = _convert(conjunct, index, table, server)
-            if qual is None:
-                residual.append(conjunct)
-            else:
-                usable.append(qual)
-        if not usable:
-            continue
+    for candidate in analysis.candidates:
+        usable = [convert(conjuncts[i]) for i, convert in candidate.converters]
         qualification: Qualification = (
             usable[0]
             if len(usable) == 1
             else CompoundQualification(BooleanOperator.AND, usable)
         )
-        cost = server.executor.estimate_scan_cost(index, qualification)
-        plan = IndexScanPlan(
-            table, index, qualification, _rebuild_conjunction(residual), cost
-        )
+        cost = server.executor.estimate_scan_cost(candidate.index, qualification)
+        residual = _rebuild_conjunction([conjuncts[i] for i in candidate.residual])
+        plan = IndexScanPlan(table, candidate.index, qualification, residual, cost)
         index_plans.append(plan)
         if plan.cost < best.cost:
             best = plan

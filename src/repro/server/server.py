@@ -27,6 +27,7 @@ from repro.server.datatypes import TypeRegistry
 from repro.server.errors import CatalogError
 from repro.server.executor import Executor
 from repro.server.memory import MemoryManager
+from repro.server.optimizer import PlanCache
 from repro.server.session import Session
 from repro.server.trace import TraceFacility
 from repro.server.udr import SharedLibraryRegistry
@@ -53,7 +54,7 @@ class DatabaseServer:
         #: Server-wide default for per-index buffer pools; ``CREATE INDEX
         #: ... WITH (buffer_capacity = N)`` overrides it.
         self.buffer_capacity = buffer_capacity
-        #: Parsed-statement cache bound (0 disables caching).
+        #: Statement-shape cache bound (0 disables caching).
         self.statement_cache_size = statement_cache_size
         self.types = TypeRegistry(self.clock.granularity)
         self.catalog = SystemCatalog(self.types)
@@ -74,7 +75,9 @@ class DatabaseServer:
             self.faults = faults
             self._wire_faults()
         self.executor = Executor(self)
-        self._statement_cache: "OrderedDict[str, ast.Statement]" = OrderedDict()
+        #: Statement shape (``sql.shape``) -> the binder that builds a
+        #: statement of that shape from its literals.
+        self._statement_cache: "OrderedDict[tuple, ast.Binder]" = OrderedDict()
         self._stmt_cache_hits = 0
         self._stmt_cache_misses = 0
         self.obs.metrics.register_collector(
@@ -106,7 +109,7 @@ class DatabaseServer:
         #: serialization, the resource read replicas multiply, is the
         #: bottleneck rather than a single shared host CPU.
         self.simulated_io_s = 0.0
-        #: Guards the parsed-statement LRU (shared by worker threads).
+        #: Guards the statement-shape LRU (shared by worker threads).
         self._stmt_cache_lock = threading.Lock()
         #: The session internal work runs under (cost estimation etc.).
         self.system_session = Session(self)
@@ -334,35 +337,44 @@ class DatabaseServer:
             self.wal.log_ddl(sql_text)
 
     def _parse(self, sql_text: str) -> ast.Statement:
-        """Parse through the LRU statement cache, keyed by SQL text.
+        """Parse through the LRU statement cache, keyed by the text's
+        shape (its tokens, each literal a placeholder).
 
-        Statement objects are never mutated after parsing (the executor
-        and optimizer treat them as read-only), so the same parse tree
-        can be re-executed.  Admin statements bypass the cache: they are
-        cheap, rare, and keeping them out means cache counters reflect
-        only real workload statements.
+        A shape is parsed once: the cache keeps a binder that builds the
+        statement for another text of that shape from the text's
+        literals, sharing the literal-free parts (the executor and
+        optimizer treat statements as read-only) and one
+        :class:`~repro.server.optimizer.PlanCache`.  A shape whose
+        statement does not hold exactly the text's literals (a ``LOAD``
+        path) is parsed every time.  Admin statements bypass the cache:
+        they are cheap, rare, and keeping them out means cache counters
+        reflect only real workload statements.
         """
         if not self.statement_cache_size:
             return ast.parse(sql_text)
+        key, literals = ast.shape(sql_text)
+        if key is None:
+            return ast.parse(sql_text)  # raises the tokenizer's error
         with self._stmt_cache_lock:
-            cached = self._statement_cache.get(sql_text)
-            if cached is not None:
-                self._statement_cache.move_to_end(sql_text)
+            bind = self._statement_cache.get(key)
+            if bind is not None:
+                self._statement_cache.move_to_end(key)
                 self._stmt_cache_hits += 1
-                return cached
+        if bind is not None:
+            return bind(literals)
         statement = ast.parse(sql_text)
         if isinstance(statement, ast.Admin):
             return statement
+        if isinstance(statement, (ast.Select, ast.Delete, ast.Update)):
+            statement.plan_cache = PlanCache()
+        bind = ast.binder(statement, key, literals)
         with self._stmt_cache_lock:
             self._stmt_cache_misses += 1
-            self._statement_cache[sql_text] = statement
-            if len(self._statement_cache) > self.statement_cache_size:
-                self._statement_cache.popitem(last=False)
+            if bind is not None:
+                self._statement_cache[key] = bind
+                if len(self._statement_cache) > self.statement_cache_size:
+                    self._statement_cache.popitem(last=False)
         return statement
-
-    def clear_statement_cache(self) -> None:
-        with self._stmt_cache_lock:
-            self._statement_cache.clear()
 
     def execute(self, sql_text: str, session: Optional[Session] = None) -> Any:
         """Parse and execute one SQL statement.

@@ -13,13 +13,18 @@ support functions.  Every other ``SHOW`` and ``SET`` -- the observability,
 fault-injection and replication surface, including ``SET TRACE CLASS``,
 the SQL face of the Section 6.4 trace facility -- is an admin statement:
 :mod:`repro.server.admin` parses it into one :class:`Admin` node.
+
+:func:`shape` and :func:`binder` serve the server's statement cache: a
+text's shape is its token sequence with each literal a placeholder, and
+a binder builds the statement of a cached shape from a text's literals
+without parsing it.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Union
+from dataclasses import dataclass, field, fields, is_dataclass
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.server import admin
 from repro.server.errors import SqlError
@@ -166,12 +171,16 @@ class Select:
     columns: List[str]  # ['*'] for all
     table: str
     where: Optional[Expr]
+    #: The optimizer's cache for every statement of this one's shape
+    #: (``repro.server.optimizer.PlanCache``); ``None`` plans afresh.
+    plan_cache: Any = field(default=None, compare=False, repr=False)
 
 
 @dataclass
 class Delete:
     table: str
     where: Optional[Expr]
+    plan_cache: Any = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -179,6 +188,7 @@ class Update:
     table: str
     assignments: List[Tuple[str, Literal]]
     where: Optional[Expr]
+    plan_cache: Any = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -258,6 +268,8 @@ WRITES = DDL + (Insert, Delete, Update, Load)
 # Tokenizer
 # ----------------------------------------------------------------------
 
+#: One token after optional whitespace.  ``bad`` takes any character no
+#: token starts with, so a scan of a text never skips one.
 _TOKEN = re.compile(
     r"""
     \s*(?:
@@ -265,6 +277,7 @@ _TOKEN = re.compile(
       | (?P<number>-?\d+(?:\.\d+)?)
       | (?P<word>[A-Za-z_][A-Za-z0-9_./]*)
       | (?P<op><=|>=|<>|!=|[(),=<>*;])
+      | (?P<bad>\S)
     )
     """,
     re.VERBOSE,
@@ -277,25 +290,113 @@ class Token:
     value: str
 
 
+def _unquote(value: str) -> str:
+    quote = value[0]
+    return value[1:-1].replace(quote * 2, quote)
+
+
 def tokenize(text: str) -> List[Token]:
     tokens: List[Token] = []
     pos = 0
     while pos < len(text):
         match = _TOKEN.match(text, pos)
-        if not match:
-            if text[pos:].strip() == "":
-                break
+        if match is None:
+            break  # only whitespace is left
+        kind = match.lastgroup
+        if kind == "bad":
             raise SqlError(f"cannot tokenize near: {text[pos:pos + 25]!r}")
         pos = match.end()
-        for kind in ("string", "number", "word", "op"):
-            value = match.group(kind)
-            if value is not None:
-                if kind == "string":
-                    quote = value[0]
-                    value = value[1:-1].replace(quote * 2, quote)
-                tokens.append(Token(kind, value))
-                break
+        value = match.group(kind)
+        tokens.append(Token(kind, _unquote(value) if kind == "string" else value))
     return tokens
+
+
+# ----------------------------------------------------------------------
+# Statement shapes
+# ----------------------------------------------------------------------
+
+#: The placeholders a shape has for a quoted and a numeric literal; no
+#: token reads like either.
+STRING, NUMBER = "<string>", "<number>"
+
+#: A statement's literals (strings unquoted) -> the statement.
+Binder = Callable[[List[str]], "Statement"]
+
+
+def shape(text: str) -> Tuple[Optional[tuple], List[str]]:
+    """*text*'s shape -- its tokens with every literal a placeholder --
+    and its literals in order, or ``(None, [])`` when *text* does not
+    tokenize (:func:`parse` raises the error).  Keywords and identifiers
+    stay verbatim."""
+    key: List[str] = []
+    literals: List[str] = []
+    for string, number, word, op, bad in _TOKEN.findall(text):
+        if word or op:
+            key.append(word or op)
+        elif number:
+            key.append(NUMBER)
+            literals.append(number)
+        elif string:
+            key.append(STRING)
+            literals.append(_unquote(string))
+        else:
+            return None, []
+    return tuple(key), literals
+
+
+def _literal_nodes(value: Any) -> List[Literal]:
+    """*value*'s ``Literal`` nodes in field order -- the text order."""
+    if isinstance(value, Literal):
+        return [value]
+    if is_dataclass(value):
+        value = [getattr(value, f.name) for f in fields(value)]
+    if isinstance(value, (list, tuple)):
+        return [node for item in value for node in _literal_nodes(item)]
+    return []
+
+
+def _template(value: Any, constants: List[Any], slot: List[int]) -> str:
+    """Python source that rebuilds *value* with literal ``L[i]`` in each
+    literal's place; literal-free parts are shared ``K[j]`` constants."""
+    if isinstance(value, Literal):
+        i = slot[0]
+        slot[0] += 1
+        if value.is_string:
+            return f"Literal(L[{i}], True)"
+        return f"Literal(L[{i}], False, float(L[{i}]))"
+    if not _literal_nodes(value):
+        constants.append(value)
+        return f"K[{len(constants) - 1}]"
+    if isinstance(value, list):
+        return "[" + ", ".join(_template(v, constants, slot) for v in value) + "]"
+    if isinstance(value, tuple):
+        return "(" + "".join(_template(v, constants, slot) + ", " for v in value) + ")"
+    args = ", ".join(
+        _template(getattr(value, f.name), constants, slot) for f in fields(value)
+    )
+    return f"{type(value).__name__}({args})"
+
+
+def binder(
+    statement: "Statement", key: tuple, literals: List[str]
+) -> Optional[Binder]:
+    """A function that builds the statement of *statement*'s shape (its
+    text's shape *key*, with literals *literals*) for other literals, or
+    ``None`` when the shape cannot be cached: when the statement's
+    ``Literal`` nodes are not exactly the text's literal tokens, in
+    order (a ``LOAD`` path, a ``WITH`` value).  The function is compiled
+    once, here; it shares every literal-free part of *statement*."""
+    kinds = [token == STRING for token in key if token in (STRING, NUMBER)]
+    nodes = _literal_nodes(statement)
+    if [(n.text, n.is_string) for n in nodes] != list(zip(literals, kinds)):
+        return None
+    if not nodes:
+        return lambda _literals: statement
+    constants: List[Any] = []
+    # The source names only AST classes, literal slots and constants:
+    # no text of the statement reaches it.
+    source = "lambda L: " + _template(statement, constants, [0])
+    return eval(source, {**_NODES, "K": constants})
 
 
 class _Parser:
@@ -787,6 +888,16 @@ class _Parser:
         if token.kind == "number":
             return Literal(token.value, is_string=False, number=float(token.value))
         raise SqlError(f"expected a literal, got {token.value!r}")
+
+
+#: The AST classes a binder's source may name.
+_NODES = {
+    cls.__name__: cls
+    for cls in (
+        ColumnRef, Literal, FunctionCall, Comparison, And, Or, Not,
+        Insert, Select, Delete, Update,
+    )
+}
 
 
 def parse(text: str) -> Statement:

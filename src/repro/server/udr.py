@@ -84,6 +84,8 @@ class RoutineRegistry:
         self.resolutions = 0
         #: Total UDR invocations through the registry.
         self.invocations = 0
+        #: Bumped by every change (see ``SystemCatalog.version``).
+        self.changes = 0
 
     # ------------------------------------------------------------------
 
@@ -95,9 +97,11 @@ class RoutineRegistry:
                     f"routine {routine.signature} is already registered"
                 )
         overloads.append(routine)
+        self.changes += 1
         return routine
 
     def unregister(self, name: str, arg_types: Optional[Sequence[str]] = None) -> int:
+        self.changes += 1
         overloads = self._routines.get(name.lower(), [])
         if arg_types is None:
             removed = len(overloads)
@@ -151,10 +155,12 @@ class RoutineRegistry:
     def set_negator(self, name: str, negator: str) -> None:
         for routine in self._require(name):
             routine.negator = negator
+        self.changes += 1
 
     def set_commutator(self, name: str, commutator: str) -> None:
         for routine in self._require(name):
             routine.commutator = commutator
+        self.changes += 1
 
     def _require(self, name: str) -> List[Routine]:
         overloads = self._routines.get(name.lower())

@@ -45,6 +45,9 @@ class RecordKind(enum.Enum):
     DDL = "ddl"
 
 
+#: The exported ``stats`` name of each kind's record count.
+_KIND_STAT = {kind: "kind." + kind.value for kind in RecordKind}
+
 #: Kinds that :meth:`WriteAheadLog.recover` and ``Sbspace.rollback``
 #: replay/undo physically; everything else is logical shipping payload.
 SPACE_KINDS = frozenset(
@@ -131,13 +134,24 @@ class LogRecord:
 
 
 class WriteAheadLog:
-    """An append-only log with runtime rollback and crash recovery."""
+    """An append-only log with runtime rollback and crash recovery.
+
+    A transaction's BEGIN record is appended with its first change
+    record, so a transaction that changes nothing (a read) leaves no
+    record: its end appends no COMMIT or ABORT either.
+    """
 
     def __init__(self, faults=None) -> None:
         self._records: List[LogRecord] = []
+        #: Begun, but no record logged yet (BEGIN comes with the first).
+        self._pending: set[int] = set()
         self._active: set[int] = set()
         self._committed: set[int] = set()
         self._aborted: set[int] = set()
+        #: The highest transaction id begun: ids are issued in increasing
+        #: order, so one at or below it was already used.
+        self._last_txn = 0
+        #: Record counts under their ``stats`` names (``kind.<kind>``).
         self._kind_counts: dict[str, int] = {}
         #: Optional :class:`repro.faults.FaultRegistry`; ``None`` keeps
         #: the append path free of any fault-injection cost.
@@ -165,21 +179,25 @@ class WriteAheadLog:
             self.faults.hit("wal.append")
         record = LogRecord(lsn=len(self._records), txn_id=txn_id, kind=kind, **fields)
         self._records.append(record)
-        key = kind.value
+        key = _KIND_STAT[kind]
         self._kind_counts[key] = self._kind_counts.get(key, 0) + 1
         for listener in self._listeners:
             listener(record)
         return record
 
     def log_begin(self, txn_id: int) -> None:
-        if txn_id in self._active:
+        """Begin *txn_id*; its BEGIN record waits for its first change."""
+        if txn_id in self._active or txn_id in self._pending:
             raise ValueError(f"transaction {txn_id} already active")
-        if txn_id in self._committed or txn_id in self._aborted:
+        if txn_id <= self._last_txn:
             raise ValueError(f"transaction id {txn_id} was already used")
-        self._active.add(txn_id)
-        self._append(txn_id, RecordKind.BEGIN)
+        self._last_txn = txn_id
+        self._pending.add(txn_id)
 
     def log_commit(self, txn_id: int) -> None:
+        if txn_id in self._pending:
+            self._pending.discard(txn_id)  # logged nothing: nothing to commit
+            return
         self._require_active(txn_id)
         # The 'fsync' failpoint models the flush that makes the COMMIT
         # record durable: a crash here leaves the transaction active in
@@ -191,27 +209,30 @@ class WriteAheadLog:
         self._append(txn_id, RecordKind.COMMIT)
 
     def log_abort(self, txn_id: int) -> None:
+        if txn_id in self._pending:
+            self._pending.discard(txn_id)
+            return
         self._require_active(txn_id)
         self._active.discard(txn_id)
         self._aborted.add(txn_id)
         self._append(txn_id, RecordKind.ABORT)
 
     def log_create_lo(self, txn_id: int, lo_handle: str) -> None:
-        self._require_active(txn_id)
+        self._change(txn_id)
         self._append(txn_id, RecordKind.CREATE_LO, lo_handle=lo_handle)
 
     def log_drop_lo(self, txn_id: int, lo_handle: str) -> None:
-        self._require_active(txn_id)
+        self._change(txn_id)
         self._append(txn_id, RecordKind.DROP_LO, lo_handle=lo_handle)
 
     def log_page_alloc(self, txn_id: int, lo_handle: str, page_id: int) -> None:
-        self._require_active(txn_id)
+        self._change(txn_id)
         self._append(txn_id, RecordKind.PAGE_ALLOC, lo_handle=lo_handle, page_id=page_id)
 
     def log_page_free(
         self, txn_id: int, lo_handle: str, page_id: int, before: bytes
     ) -> None:
-        self._require_active(txn_id)
+        self._change(txn_id)
         self._append(
             txn_id,
             RecordKind.PAGE_FREE,
@@ -223,7 +244,7 @@ class WriteAheadLog:
     def log_page_write(
         self, txn_id: int, lo_handle: str, page_id: int, before: bytes, after: bytes
     ) -> None:
-        self._require_active(txn_id)
+        self._change(txn_id)
         self._append(
             txn_id,
             RecordKind.PAGE_WRITE,
@@ -238,19 +259,19 @@ class WriteAheadLog:
     def log_row_insert(
         self, txn_id: int, table: str, rowid: int, row: dict
     ) -> None:
-        self._require_active(txn_id)
+        self._change(txn_id)
         self._append(
             txn_id, RecordKind.ROW_INSERT, table=table, rowid=rowid, row=row
         )
 
     def log_row_delete(self, txn_id: int, table: str, rowid: int) -> None:
-        self._require_active(txn_id)
+        self._change(txn_id)
         self._append(txn_id, RecordKind.ROW_DELETE, table=table, rowid=rowid)
 
     def log_row_update(
         self, txn_id: int, table: str, rowid: int, row: dict
     ) -> None:
-        self._require_active(txn_id)
+        self._change(txn_id)
         self._append(
             txn_id, RecordKind.ROW_UPDATE, table=table, rowid=rowid, row=row
         )
@@ -262,6 +283,15 @@ class WriteAheadLog:
     def _require_active(self, txn_id: int) -> None:
         if txn_id not in self._active:
             raise ValueError(f"transaction {txn_id} is not active")
+
+    def _change(self, txn_id: int) -> None:
+        """Before a change record of *txn_id*: its BEGIN, if still due."""
+        if txn_id in self._pending:
+            self._pending.discard(txn_id)
+            self._active.add(txn_id)
+            self._append(txn_id, RecordKind.BEGIN)
+        else:
+            self._require_active(txn_id)
 
     # ------------------------------------------------------------------
     # Reading back
@@ -283,15 +313,16 @@ class WriteAheadLog:
         return txn_id == DDL_TXN or txn_id in self._committed
 
     def is_active(self, txn_id: int) -> bool:
-        return txn_id in self._active
+        return txn_id in self._active or txn_id in self._pending
 
     def active_transactions(self) -> frozenset[int]:
-        """Transactions with a BEGIN but no COMMIT/ABORT yet.
+        """Transactions begun and not yet committed or aborted, logged
+        anything or not.
 
         The crash harness reads this before recovery to model the lock
         table: locks are volatile, so whatever the crashed transactions
         held simply vanishes."""
-        return frozenset(self._active)
+        return frozenset(self._active | self._pending)
 
     def last_lsn(self) -> int:
         """LSN of the newest record; ``-1`` for an empty log."""
@@ -302,16 +333,14 @@ class WriteAheadLog:
 
     def stats(self) -> dict:
         """Counters pulled by the observability metrics collectors."""
-        stats = {
+        return {
             "records": len(self._records),
             "commits": len(self._committed),
             "aborts": len(self._aborted),
             "active": len(self._active),
             "last_lsn": len(self._records) - 1,
+            **self._kind_counts,
         }
-        for kind, count in self._kind_counts.items():
-            stats[f"kind.{kind}"] = count
-        return stats
 
     # ------------------------------------------------------------------
     # Recovery
@@ -335,8 +364,10 @@ class WriteAheadLog:
                 continue
             space._redo(record)
             replayed += 1
-        # Whatever was active at crash time is now aborted.
+        # Whatever was active at crash time is now aborted; a transaction
+        # that had logged nothing leaves no trace.
         self._aborted |= self._active
         self._active.clear()
+        self._pending.clear()
         space._finish_recovery()
         return replayed

@@ -119,6 +119,35 @@ class TestIntervalGist:
         eq = ext.query_for("GS_NumEqual", 7)
         assert sorted(r for r, _ in tree.search(eq)) == [7]
 
+    def test_a_node_write_compresses_each_key_once(self):
+        """``fits`` and ``write`` share one encoding: a node write (or a
+        write refused for overflow) compresses each of its keys once."""
+        extension = IntervalExtension()
+        tree = make_tree(extension)
+        compress, write_if_fits = extension.compress, tree.store.write_if_fits
+        calls, writes = [], []
+
+        def counted_compress(key):
+            calls.append(key)
+            return compress(key)
+
+        def counted_write(node):
+            before = len(calls)
+            written = write_if_fits(node)
+            writes.append((len(node.entries), len(calls) - before))
+            return written
+
+        extension.compress = counted_compress
+        tree.store.write_if_fits = counted_write
+        rng = random.Random(7)
+        for rowid in range(500):
+            lo = rng.uniform(0, 5000)
+            tree.insert(Interval(lo, lo + rng.uniform(0, 200)), rowid)
+        assert len(writes) > 600
+        assert all(keys == compressed for keys, compressed in writes)
+        # Inserting compresses keys nowhere but in node writes.
+        assert len(calls) == sum(keys for keys, _ in writes)
+
     def test_delete(self):
         tree = make_tree(IntervalExtension())
         for v in range(200):

@@ -143,7 +143,7 @@ class TestCursorOverCache:
         tree, clock, pool, store = make_tree()
         for i in range(100):
             tree.insert(extent(90), rowid=i)
-        pool.flush()
+        tree.flush()
         flushed_pages = set(pool.store.snapshot())
         for i in range(100, 140):
             tree.insert(extent(90), rowid=i)  # never flushed

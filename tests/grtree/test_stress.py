@@ -39,7 +39,7 @@ class TestTinyBuffer:
         tree = GRTree.create(GRNodeStore(pool), clock)
         for i in range(100):
             tree.insert(TimeExtent(100, UC, 90, NOW), rowid=i)
-        pool.flush()
+        tree.flush()
         pool.invalidate()  # drop every cached frame
         # Everything must be re-readable from the backing store.
         reopened = GRTree.open(GRNodeStore(pool), clock, tree.meta_page)

@@ -89,6 +89,7 @@ class TestBasics:
         tree = GRTree.create(store, clock, time_horizon=7)
         for i in range(50):
             tree.insert(TimeExtent(100, UC, 90, NOW), rowid=i)
+        tree.flush()
         reopened = GRTree.open(store, clock, meta_page=tree.meta_page)
         assert reopened.size == 50
         assert reopened.height == tree.height

@@ -131,7 +131,7 @@ class TestStorageOptions:
             meta_page = tree.meta_page
             for i in range(100):
                 tree.insert(TimeExtent(100, UC, 95, NOW), rowid=i)
-            pool.flush()
+            tree.flush()
         # Reopen from the file: the index is durable without any WAL.
         with OSFilePageStore(path, page_size=2048) as store:
             pool = BufferPool(store)

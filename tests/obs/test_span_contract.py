@@ -282,7 +282,7 @@ EXPECTED = [
          "buffer.index.bi.physical_writes": 2,
          "buffer.index.gi.decode_hits": 12,
          "buffer.index.gi.logical_reads": 12,
-         "buffer.index.gi.logical_writes": 24,
+         "buffer.index.gi.logical_writes": 13,
          "buffer.index.gi.physical_writes": 2,
          "buffer.index.hi.hash.decode_hits": 12,
          "buffer.index.hi.hash.logical_reads": 12,
@@ -308,7 +308,7 @@ EXPECTED = [
         ["am.am_close", "am.am_insert", "am.am_open", "sql.parse"],
         {"rows_returned": 0,
          "pages_read": 48.0,
-         "pages_written": 64.0,
+         "pages_written": 53.0,
          "cache_hit_ratio": 1.0},
     ),
     # SELECT n FROM e WHERE k = 3
@@ -329,12 +329,7 @@ EXPECTED = [
          "locks.releases": 2,
          "plan.indexscan": 1,
          "sbspace.spc.closes": 2,
-         "sbspace.spc.opens": 2,
-         "wal.commits": 1,
-         "wal.kind.begin": 1,
-         "wal.kind.commit": 1,
-         "wal.last_lsn": 2,
-         "wal.records": 2},
+         "sbspace.spc.opens": 2},
         ["am.am_beginscan",
          "am.am_close",
          "am.am_endscan",
@@ -365,12 +360,7 @@ EXPECTED = [
          "locks.releases": 1,
          "plan.indexscan": 1,
          "sbspace.spc.closes": 1,
-         "sbspace.spc.opens": 1,
-         "wal.commits": 1,
-         "wal.kind.begin": 1,
-         "wal.kind.commit": 1,
-         "wal.last_lsn": 2,
-         "wal.records": 2},
+         "sbspace.spc.opens": 1},
         ["am.am_beginscan",
          "am.am_close",
          "am.am_endscan",
@@ -403,12 +393,7 @@ EXPECTED = [
          "sbspace.spc.closes": 1,
          "sbspace.spc.opens": 1,
          "spec.index.gi.nodes_batched": 1,
-         "spec.index.gi.scans_compiled": 1,
-         "wal.commits": 1,
-         "wal.kind.begin": 1,
-         "wal.kind.commit": 1,
-         "wal.last_lsn": 2,
-         "wal.records": 2},
+         "spec.index.gi.scans_compiled": 1},
         ["am.am_beginscan",
          "am.am_close",
          "am.am_endscan",
@@ -587,12 +572,7 @@ EXPECTED = [
          "sbspace.spc.closes": 1,
          "sbspace.spc.opens": 1,
          "spec.index.gi.nodes_batched": 1,
-         "spec.index.gi.scans_compiled": 1,
-         "wal.commits": 1,
-         "wal.kind.begin": 1,
-         "wal.kind.commit": 1,
-         "wal.last_lsn": 2,
-         "wal.records": 2},
+         "spec.index.gi.scans_compiled": 1},
         ["am.am_beginscan",
          "am.am_close",
          "am.am_endscan",

@@ -101,6 +101,7 @@ class TestObserve:
 
     def test_failpoint_hits_are_not_cache_hits(self):
         server = DatabaseServer()
+        server.enable_wal_shipping()  # each INSERT logs its row
         server.execute("CREATE TABLE t (a INTEGER)")
         server.execute("SET FAULT wal.append RAISE HIT 1000000")
         for i in range(3):
@@ -112,7 +113,8 @@ class TestObserve:
             ]
             if entry["statement"] == "INSERT INTO T VALUES (?)"
         ]
-        assert server.faults.armed()["wal.append"].endswith("hits=6 triggers=0")
+        # BEGIN, ROW_INSERT and COMMIT per statement.
+        assert server.faults.armed()["wal.append"].endswith("hits=9 triggers=0")
         assert entry["calls"] == 3
         assert entry["cache_hit_ratio"] == 1.0
         stats = server.obs.workload.get(entry["fingerprint"])

@@ -174,7 +174,7 @@ FORMS = [
         _armed,
         {
             "sbspace.page_write": "raise times=1 hits=0 triggers=0",
-            "wal.append": "raise hit=1000000 times=1 hits=40 triggers=0",
+            "wal.append": "raise hit=1000000 times=1 hits=36 triggers=0",
         },
     ),
     (
@@ -247,7 +247,7 @@ def test_set_isolation_is_the_spanned_cached_control(built):
     roots, cache, hits, misses, workload, statements = _state(server)
     assert len(roots) == len(before[0]) + 1
     assert roots[-1].name == "sql.setisolation"
-    assert cache[-1][0] == "SET ISOLATION TO DIRTY READ"
+    assert cache[-1][0] == ("SET", "ISOLATION", "TO", "DIRTY", "READ")
     assert misses == before[3] + 1
     assert workload != before[4]
     assert statements == before[5] + 1
@@ -320,9 +320,9 @@ sql.statements.createopclass       3
 sql.statements.createtable         4
 sql.statements.insert              3
 sql.statements.select              3
-sql.stmtcache.entries              64
-sql.stmtcache.hits                 0
-sql.stmtcache.misses               120
+sql.stmtcache.entries              13
+sql.stmtcache.hits                 3
+sql.stmtcache.misses               117
 sql.stmtcache.size                 64
 
 == buffer pools ==
@@ -351,13 +351,13 @@ hash_path 2  inserts 3  point_lookups 2
 role 1  subscribers 0
 
 == write-ahead log ==
-records 86  commits 8  aborts 0  active 0
+records 82  commits 6  aborts 0  active 0
 
 == sbspaces ==
 spc: closes 20  large_objects 4  opens 20  page_reads 0  page_writes 43
 
 == faults ==
-wal.append  raise hit=1000000 times=1 hits=40 triggers=0
+wal.append  raise hit=1000000 times=1 hits=36 triggers=0
 
 == trace classes ==
 (all disabled)
