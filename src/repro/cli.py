@@ -36,6 +36,7 @@ and these spellings of admin statements, which print what the SQL does:
 from __future__ import annotations
 
 import argparse
+import secrets
 import sys
 from typing import Any, List, Optional
 
@@ -314,6 +315,10 @@ def stats_main(argv: List[str], out=None) -> int:
     if out is None:
         out = sys.stdout
     shell = Shell(_granularity(options.granularity))
+    if options.spans:
+        # Span trees are kept for traced statements: run the script as
+        # one trace.
+        shell.session.trace_id = secrets.token_hex(16)
     if options.file:
         shell.run_script(options.file)
     obs = shell.server.obs

@@ -30,7 +30,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.obs.events import Event, EventLog
 from repro.obs.export import parse_prometheus_text, prometheus_text
 from repro.obs.metrics import DEFAULT_BUCKETS, Histogram, MetricsRegistry
-from repro.obs.spans import Span, SpanRecorder
+from repro.obs.spans import SKIP, Span, SpanRecorder
 from repro.obs.workload import FingerprintStats, WorkloadModel, fingerprint
 
 __all__ = [
@@ -50,24 +50,9 @@ __all__ = [
 ]
 
 
-class _NoopSpan:
-    """Shared do-nothing context manager returned while disabled."""
-
-    __slots__ = ()
-
-    def __enter__(self):
-        return None
-
-    def __exit__(self, exc_type, exc, tb):
-        return False
-
-
-_NOOP_SPAN = _NoopSpan()
-
-
 def _pool_values(pool) -> Dict[str, float]:
-    # Read per span (twice): plain attribute reads, and no hit_ratio --
-    # ratios make noisy span deltas.
+    # Read at a root span's start and end: plain attribute reads into a
+    # fresh map, and no hit_ratio -- ratios make noisy span deltas.
     stats = pool.stats
     return {
         "logical_reads": stats.logical_reads,
@@ -172,7 +157,7 @@ class Observability:
 
     def span(self, name: str, **attrs):
         if not self.enabled:
-            return _NOOP_SPAN
+            return SKIP
         return self.spans.span(name, **attrs)
 
     # ------------------------------------------------------------------

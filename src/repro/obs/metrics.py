@@ -125,6 +125,21 @@ class Histogram:
         }
 
 
+class _Names(dict):
+    """One collector's ``key -> "prefix.key"`` names, each built on its
+    first lookup instead of on every pull."""
+
+    __slots__ = ("prefix",)
+
+    def __init__(self, prefix: str) -> None:
+        super().__init__()
+        self.prefix = prefix
+
+    def __missing__(self, key: str) -> str:
+        name = self[key] = f"{self.prefix}.{key}"
+        return name
+
+
 class _Sink(threading.local):
     #: Where this thread's counter increments go: the delta map of the
     #: span open innermost on it, or ``None`` (straight to the totals).
@@ -142,10 +157,9 @@ class MetricsRegistry:
         self._counters: Dict[str, float] = {}
         self._gauges: Dict[str, float] = {}
         self._histograms: Dict[str, Histogram] = {}
-        #: prefix -> (collector, its ``key -> "prefix.key"`` names, built
-        #: once per key instead of on every snapshot).
+        #: prefix -> (collector, its names).
         self._collectors: Dict[
-            str, Tuple[Callable[[], Mapping[str, float]], Dict[str, str]]
+            str, Tuple[Callable[[], Mapping[str, float]], _Names]
         ] = {}
         #: Guards every map above; re-entrant because collectors pulled
         #: during a snapshot may themselves read the registry.
@@ -221,7 +235,7 @@ class MetricsRegistry:
         """
         with self._lock:
             previous = self._collectors.get(prefix)
-            names = {} if previous is None else previous[1]
+            names = _Names(prefix) if previous is None else previous[1]
             self._collectors[prefix] = (fn, names)
 
     def unregister_collector(self, prefix: str) -> None:
@@ -244,16 +258,62 @@ class MetricsRegistry:
     def pull_snapshot(self) -> Dict[str, float]:
         """The gauges and the collectors' values: a snapshot without
         the counters, which spans take from their :attr:`sink`."""
-        with self._lock:
-            values = dict(self._gauges)
-            collectors = list(self._collectors.items())
-        for prefix, (fn, names) in collectors:
-            for key, value in fn().items():
-                name = names.get(key)
-                if name is None:
-                    name = names[key] = f"{prefix}.{key}"
-                values[name] = value
+        values: Dict[str, float] = {}
+        for prefix, pulled in self.pull().items():
+            if prefix is None:
+                values.update(pulled)
+                continue
+            names = self._names(prefix)
+            for key, value in pulled.items():
+                values[names[key]] = value
         return values
+
+    def pull(self) -> Dict[Optional[str], Mapping[str, float]]:
+        """Each collector's own map by prefix, and a copy of the gauges
+        under ``None``: the one read of the pull metrics.
+
+        A collector must return a fresh map on every call: a root span
+        keeps the maps pulled at its start and compares them with the
+        ones pulled at its end (:meth:`pull_deltas`).
+        """
+        with self._lock:
+            pulled: Dict[Optional[str], Mapping[str, float]] = {
+                None: dict(self._gauges)
+            }
+            collectors = list(self._collectors.items())
+        for prefix, (fn, _) in collectors:
+            pulled[prefix] = fn()
+        return pulled
+
+    def pull_deltas(
+        self,
+        before: Mapping[Optional[str], Mapping[str, float]],
+        into: Dict[str, float],
+    ) -> None:
+        """Pull again and set in *into* every value that moved since the
+        pull *before*, as :meth:`delta` would over the flat snapshots.
+
+        Maps are compared collector by collector; ``prefix.key`` names
+        are looked up only for a collector whose map changed.
+        """
+        empty: Mapping[str, float] = {}
+        for prefix, after in self.pull().items():
+            old = before.get(prefix, empty)
+            if after == old:
+                continue
+            changed = self.delta(old, after)
+            if prefix is None:
+                into.update(changed)
+                continue
+            names = self._names(prefix)
+            for key, diff in changed.items():
+                into[names[key]] = diff
+
+    def _names(self, prefix: str) -> _Names:
+        """A collector's names (fresh ones for a prefix unregistered
+        since it was pulled)."""
+        entry = self._collectors.get(prefix)
+        return _Names(prefix) if entry is None else entry[1]
 
     @staticmethod
     def delta(

@@ -20,6 +20,14 @@ Consecutive calls of one purpose function under one parent -- the
 whose ``calls`` attribute counts them and whose duration is the time
 spent inside them only (:meth:`SpanRecorder.fold`).
 
+A statement's root may be opened *bare* (:meth:`SpanRecorder.statement`
+with ``tree`` false): while it is open on a thread, :meth:`~SpanRecorder.span`,
+:meth:`~SpanRecorder.fold` and :meth:`~SpanRecorder.add_completed_child`
+record nothing after one thread-local check, so the root keeps its name,
+attributes, duration and full metric-delta map (the counters its
+children would have carried reach it directly) and no children.
+Recorders used directly, with no statement open, always build trees.
+
 The recorder is shared by every worker thread of the serving layer, but
 a span tree belongs to exactly one statement on one thread, so the
 *current-span stack* is thread-local: two interleaved wire clients can
@@ -31,7 +39,8 @@ from __future__ import annotations
 
 import itertools
 import threading
-from typing import Any, Dict, List, Optional
+from collections import deque
+from typing import Any, Deque, Dict, List, Optional
 
 from repro.obs.metrics import MetricsRegistry
 
@@ -132,6 +141,21 @@ def _add(into: Dict[str, float], deltas: Dict[str, float]) -> None:
         into[key] = into.get(key, 0) + value
 
 
+class _Skip:
+    """The shared do-nothing context manager: a span nobody records."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        return False
+
+
+SKIP = _Skip()
+
+
 class _Open:
     """``with recorder.span(...)``: a new span, open for the block."""
 
@@ -139,10 +163,10 @@ class _Open:
 
     def __init__(self, recorder: "SpanRecorder", span: Span) -> None:
         self.recorder = recorder
-        self.stack = recorder._stack()
+        self.stack = recorder._local.stack
         self.span = span
-        #: A root's gauge and collector values at its start.
-        self.pulled: Optional[Dict[str, float]] = None
+        #: A root's gauges and collector maps at its start.
+        self.pulled: Optional[Dict[Optional[str], Any]] = None
 
     def __enter__(self) -> Span:
         recorder, stack, span = self.recorder, self.stack, self.span
@@ -150,7 +174,7 @@ class _Open:
         if stack:
             stack[-1].children.append(span)
         else:
-            self.pulled = registry.pull_snapshot()
+            self.pulled = registry.pull()
             recorder._add_root(span)
         sink = registry.sink
         self.saved = sink.deltas
@@ -168,10 +192,30 @@ class _Open:
         if self.pulled is not None:
             deltas = span.metric_deltas
             registry.publish(deltas)
-            pulled = registry.pull_snapshot()
-            deltas.update(registry.delta(self.pulled, pulled))
+            registry.pull_deltas(self.pulled, deltas)
         elif saved is not None:
             _add(saved, span.metric_deltas)
+
+
+class _Statement(_Open):
+    """``with recorder.statement(...)``: a statement's span, which sets
+    whether the spans opened inside it on its thread are recorded."""
+
+    __slots__ = ("bare", "outer")
+
+    def __init__(self, recorder: "SpanRecorder", span: Span, bare: bool) -> None:
+        super().__init__(recorder, span)
+        self.bare = bare
+
+    def __enter__(self) -> Span:
+        local = self.recorder._local
+        span = _Open.__enter__(self)
+        self.outer, local.bare = local.bare, self.bare
+        return span
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.recorder._local.bare = self.outer
+        _Open.__exit__(self, exc_type, exc, tb)
 
 
 class _Resume:
@@ -209,6 +253,15 @@ class _Resume:
             _add(self.saved, interval)
 
 
+class _Local(threading.local):
+    """One thread's open spans, and whether they are recorded."""
+
+    def __init__(self) -> None:
+        self.stack: List[Span] = []
+        #: Inside a bare statement: record no span below its root.
+        self.bare = False
+
+
 class SpanRecorder:
     """Builds span trees; keeps the most recent *max_roots* root spans.
 
@@ -220,32 +273,35 @@ class SpanRecorder:
 
     def __init__(self, registry: MetricsRegistry, max_roots: int = 128) -> None:
         self.registry = registry
-        self.max_roots = max_roots
-        self.roots: List[Span] = []
+        #: Finished and open roots, oldest first; past *max_roots* the
+        #: oldest drops out.
+        self.roots: Deque[Span] = deque(maxlen=max_roots)
         self._roots_lock = threading.Lock()
-        self._local = threading.local()
+        self._local = _Local()
         self._ids = itertools.count(1)
-
-    def _stack(self) -> List[Span]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
 
     @property
     def current(self) -> Optional[Span]:
-        stack = self._stack()
+        stack = self._local.stack
         return stack[-1] if stack else None
 
     def _add_root(self, span: Span) -> None:
         with self._roots_lock:
             self.roots.append(span)
-            if len(self.roots) > self.max_roots:
-                del self.roots[: len(self.roots) - self.max_roots]
 
-    def span(self, name: str, **attrs) -> _Open:
+    def statement(self, name: str, attrs: Dict[str, Any], tree: bool) -> _Open:
+        """A context manager: a statement's span, open while the block
+        runs -- a root, or the current span's child when a statement
+        runs inside another span.  With *tree* false the block records
+        no span below it (see the module docstring); otherwise it
+        records them as :meth:`span` does."""
+        return _Statement(self, Span(name, attrs, span_id=next(self._ids)), not tree)
+
+    def span(self, name: str, **attrs):
         """A context manager: a new span, the current span's child (or
-        a root) while the block runs."""
+        a root) while the block runs; inside a bare statement, nothing."""
+        if self._local.bare:
+            return SKIP
         return _Open(self, Span(name, attrs, span_id=next(self._ids)))
 
     def fold(self, name: str, **attrs):
@@ -258,7 +314,10 @@ class SpanRecorder:
         between two calls stays in the parent's self time.  With no
         span open this is a plain :meth:`span`.
         """
-        stack = self._stack()
+        local = self._local
+        if local.bare:
+            return SKIP
+        stack = local.stack
         if not stack:
             return self.span(name, **attrs)
         siblings = stack[-1].children
@@ -273,14 +332,18 @@ class SpanRecorder:
 
     def add_completed_child(
         self, name: str, start_time: float, end_time: float, **attrs
-    ) -> Span:
+    ) -> Optional[Span]:
         """Attach an already-measured interval as a child of the current
         span (used for work timed before its parent span existed, e.g.
-        parsing, which decides whether the statement is traced at all)."""
+        parsing, which decides whether the statement is traced at all);
+        inside a bare statement, nothing (``None``)."""
+        local = self._local
+        if local.bare:
+            return None
         span = Span(name, attrs, span_id=next(self._ids))
         span.start_time = start_time
         span.end_time = end_time
-        stack = self._stack()
+        stack = local.stack
         if stack:
             stack[-1].children.append(span)
         else:

@@ -14,6 +14,12 @@ whitespace collapses, keywords upper-case): it must not depend on the
 SQL parser, both to stay cheap and to fingerprint even statements that
 fail to parse.
 
+The server hands the model each statement's *shape* (its tokens with
+every literal a placeholder, the statement cache's key): the normalizer
+runs once per shape, and later texts of the shape reuse the first
+text's fingerprint and normalized text.  Shapes ignore whitespace, so
+``k=1`` and ``k = 2`` share the fingerprint the first of them got.
+
 Per fingerprint the model keeps rolling statistics fed from completed
 root spans: execution counts, a fixed-bucket latency histogram (p50/p95/
 p99 via :meth:`~repro.obs.metrics.Histogram.quantile`), rows returned,
@@ -27,7 +33,8 @@ from __future__ import annotations
 import hashlib
 import re
 import threading
-from typing import Any, Dict, List, Mapping, Optional
+from types import MappingProxyType
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.obs.metrics import Histogram
 
@@ -51,8 +58,24 @@ def normalize(sql: str) -> str:
 
 def fingerprint(sql: str) -> str:
     """A stable 12-hex-digit fingerprint of the normalized statement."""
-    digest = hashlib.blake2b(normalize(sql).encode("utf-8"), digest_size=6)
-    return digest.hexdigest()
+    return _digest(normalize(sql))
+
+
+def _digest(statement: str) -> str:
+    return hashlib.blake2b(statement.encode("utf-8"), digest_size=6).hexdigest()
+
+
+#: Root-span delta names, by their last dot-separated part, that feed a
+#: :class:`FingerprintStats` field; a second element, when present, is
+#: the only full name that counts.
+_FIGURES: Mapping[str, Tuple[str, Optional[str]]] = MappingProxyType({
+    "logical_reads": ("pages_read", None),
+    "logical_writes": ("pages_written", None),
+    "decode_hits": ("cache_hits", None),
+    "decodes": ("cache_misses", None),
+    "conflicts": ("lock_waits", "locks.conflicts"),
+    "wait_seconds": ("lock_wait_seconds", "locks.wait_seconds"),
+})
 
 
 class FingerprintStats:
@@ -139,6 +162,9 @@ class WorkloadModel:
     def __init__(self, max_fingerprints: int = 512) -> None:
         self.max_fingerprints = max_fingerprints
         self._stats: Dict[str, FingerprintStats] = {}
+        #: Statement shape -> its (fingerprint, normalized text); as
+        #: bounded as the fingerprints, and dropped with its fingerprint.
+        self._shapes: Dict[tuple, Tuple[str, str]] = {}
         self._lock = threading.Lock()
         self._seq = 0
         #: Distinct fingerprints dropped by the size bound.
@@ -149,33 +175,41 @@ class WorkloadModel:
         sql: str,
         duration: float,
         *,
+        shape: Optional[tuple] = None,
         rows: Optional[int] = None,
         deltas: Optional[Mapping[str, float]] = None,
         error: bool = False,
     ) -> FingerprintStats:
         """Fold one completed statement into the model.
 
-        ``deltas`` is the root span's metric-delta map; buffer-pool and
-        sbspace reads/writes, the pools' decoded-page hits and decodes,
-        and lock counters are extracted from it by suffix, so new pools
-        are counted without this module knowing their names.
+        ``shape`` is the statement's shape (``sql.shape``), when the
+        server computed one; the text is normalized only for a shape not
+        seen yet.  ``deltas`` is the root span's metric-delta map;
+        buffer-pool and sbspace reads/writes, the pools' decoded-page
+        hits and decodes, and lock counters are extracted from it by
+        suffix, so new pools are counted without this module knowing
+        their names.
         """
-        fp = fingerprint(sql)
+        named = None if shape is None else self._shapes.get(shape)
+        if named is None:
+            statement = normalize(sql)
+            named = (_digest(statement), statement)
+        fp = named[0]
         with self._lock:
+            if shape is not None and shape not in self._shapes:
+                self._shapes[shape] = named
+                if len(self._shapes) > self.max_fingerprints:
+                    del self._shapes[next(iter(self._shapes))]
             self._seq += 1
             stats = self._stats.get(fp)
             if stats is None:
-                stats = FingerprintStats(fp, normalize(sql), sql)
+                stats = FingerprintStats(fp, named[1], sql)
                 # Stamp recency *before* the eviction scan, or the new
                 # entry (last_seq 0) would evict itself.
                 stats.last_seq = self._seq
                 self._stats[fp] = stats
                 if len(self._stats) > self.max_fingerprints:
-                    victim = min(
-                        self._stats.values(), key=lambda s: s.last_seq
-                    )
-                    del self._stats[victim.fingerprint]
-                    self.evicted += 1
+                    self._evict()
             stats.last_seq = self._seq
             stats.calls += 1
             stats.total_time += duration
@@ -186,17 +220,23 @@ class WorkloadModel:
                 stats.rows_returned += rows
             if deltas:
                 for key, value in deltas.items():
-                    if key.endswith(".logical_reads"):
-                        stats.pages_read += value
-                    elif key.endswith(".logical_writes"):
-                        stats.pages_written += value
-                    elif key.endswith(".decode_hits"):
-                        stats.cache_hits += value
-                    elif key.endswith(".decodes"):
-                        stats.cache_misses += value
-                stats.lock_waits += deltas.get("locks.conflicts", 0)
-                stats.lock_wait_seconds += deltas.get("locks.wait_seconds", 0)
+                    figure = _FIGURES.get(key[key.rfind(".") + 1:])
+                    if figure is not None and figure[1] in (None, key):
+                        field = figure[0]
+                        setattr(stats, field, getattr(stats, field) + value)
             return stats
+
+    def _evict(self) -> None:
+        """Drop the least recently executed fingerprint and its shapes."""
+        victim = min(self._stats.values(), key=lambda s: s.last_seq)
+        del self._stats[victim.fingerprint]
+        self.evicted += 1
+        for shape in [
+            shape
+            for shape, (fp, _) in self._shapes.items()
+            if fp == victim.fingerprint
+        ]:
+            del self._shapes[shape]
 
     # ------------------------------------------------------------------
 
@@ -259,5 +299,6 @@ class WorkloadModel:
     def reset(self) -> None:
         with self._lock:
             self._stats.clear()
+            self._shapes.clear()
             self._seq = 0
             self.evicted = 0

@@ -22,6 +22,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.server import sql as ast
 from repro.server.access_method import (
+    PURPOSE_SLOTS,
     IndexDescriptor,
     ScanDescriptor,
     SecondaryAccessMethod,
@@ -48,6 +49,9 @@ TRACE_AM = "am"
 #: The row budget of every index scan (``sd.niorows``): the most rows
 #: one ``am_getnext`` call returns.  1 is the paper's literal protocol.
 NIOROWS = 64
+
+#: Per purpose-function slot: its call counter and its span's name.
+_PURPOSE_NAMES = {slot: ("am.calls." + slot, "am." + slot) for slot in PURPOSE_SLOTS}
 
 
 class Executor:
@@ -127,13 +131,15 @@ class Executor:
         obs = self.server.obs
         if not obs.enabled:
             return routine(*args)
-        obs.metrics.inc("am.calls")
-        obs.metrics.inc("am.calls." + slot)
+        counter, span_name = _PURPOSE_NAMES[slot]
+        inc = obs.metrics.inc
+        inc("am.calls")
+        inc(counter)
         # A scan's am_getnext calls share one span (attribute calls=N):
         # a span per row would cost more than most rows do.
         spans = obs.spans
         scope = spans.fold if slot == "am_getnext" else spans.span
-        with scope("am." + slot, am=am.name):
+        with scope(span_name, am=am.name):
             return routine(*args)
 
     def _descriptor(self, info: IndexInfo, session) -> IndexDescriptor:
@@ -376,9 +382,10 @@ class Executor:
         if obs.enabled:
             with obs.span("plan.choose", table=table.name) as span:
                 plan = choose_plan(self.server, table, where, plan_cache)
-                span.attrs["plan"] = type(plan).__name__
-                if not isinstance(plan, SeqScanPlan):
-                    span.attrs["index"] = plan.index.name
+                if span is not None:
+                    span.attrs["plan"] = type(plan).__name__
+                    if not isinstance(plan, SeqScanPlan):
+                        span.attrs["index"] = plan.index.name
             obs.metrics.inc(
                 "plan.seqscan"
                 if isinstance(plan, SeqScanPlan)

@@ -15,11 +15,10 @@ import threading
 import time
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.faults import SimulatedCrash
 from repro.obs import Observability
-from repro.obs.workload import fingerprint as workload_fingerprint
 from repro.server import sql as ast
 from repro.server.access_method import SecondaryAccessMethod, SpaceType
 from repro.server.catalog import SystemCatalog
@@ -273,7 +272,9 @@ class DatabaseServer:
 
     def rollback_storage(self, txn_id: int) -> None:
         # Rollback rewrites sbspace pages underneath any open buffer
-        # pool; bump the epoch so cached index handles invalidate.
+        # pool; bump the epoch so cached index handles invalidate.  Also
+        # for a transaction that logged nothing: a failed statement can
+        # leave dirty, unflushed frames that no record describes.
         self.storage_epoch += 1
         for space in self.sbspaces.values():
             space.rollback(txn_id)
@@ -336,9 +337,11 @@ class DatabaseServer:
         ):
             self.wal.log_ddl(sql_text)
 
-    def _parse(self, sql_text: str) -> ast.Statement:
+    def _parse(self, sql_text: str) -> Tuple[ast.Statement, Optional[tuple]]:
         """Parse through the LRU statement cache, keyed by the text's
-        shape (its tokens, each literal a placeholder).
+        shape (its tokens, each literal a placeholder); return the
+        statement and the shape (``None`` with the cache off or for a
+        text that does not tokenize).
 
         A shape is parsed once: the cache keeps a binder that builds the
         statement for another text of that shape from the text's
@@ -351,20 +354,20 @@ class DatabaseServer:
         reflect only real workload statements.
         """
         if not self.statement_cache_size:
-            return ast.parse(sql_text)
+            return ast.parse(sql_text), None
         key, literals = ast.shape(sql_text)
         if key is None:
-            return ast.parse(sql_text)  # raises the tokenizer's error
+            return ast.parse(sql_text), None  # raises the tokenizer's error
         with self._stmt_cache_lock:
             bind = self._statement_cache.get(key)
             if bind is not None:
                 self._statement_cache.move_to_end(key)
                 self._stmt_cache_hits += 1
         if bind is not None:
-            return bind(literals)
+            return bind(literals), key
         statement = ast.parse(sql_text)
         if isinstance(statement, ast.Admin):
-            return statement
+            return statement, key
         if isinstance(statement, (ast.Select, ast.Delete, ast.Update)):
             statement.plan_cache = PlanCache()
         bind = ast.binder(statement, key, literals)
@@ -374,15 +377,23 @@ class DatabaseServer:
                 self._statement_cache[key] = bind
                 if len(self._statement_cache) > self.statement_cache_size:
                     self._statement_cache.popitem(last=False)
-        return statement
+        return statement, key
 
     def execute(self, sql_text: str, session: Optional[Session] = None) -> Any:
         """Parse and execute one SQL statement.
 
         With observability enabled, the statement runs under a root span
-        (``sql.<kind>``) whose children are the parse step, the plan
-        choice, and every purpose-function call -- the EXPLAIN-ANALYZE
-        view ``SHOW SPANS`` displays.
+        (``sql.<kind>``) that records its attributes, duration, error and
+        metric deltas.  Whether the span tree below it -- the parse step,
+        the plan choice, and every purpose-function call, the
+        EXPLAIN-ANALYZE view ``SHOW SPANS`` displays -- is built is
+        decided here, once per statement:
+
+        * a statement carrying a wire trace context (``session.trace_id``,
+          which ``explain_profile`` always sets) keeps its tree;
+        * with ``SET SLOW QUERY THRESHOLD`` set, every statement builds
+          its tree and keeps it only if it was slow or failed;
+        * otherwise the root is recorded alone.
         """
         if session is None:
             session = self.system_session
@@ -396,12 +407,16 @@ class DatabaseServer:
             if session.in_transaction:
                 self.bind_transaction(session, session.transaction.txn_id)
             obs = self.obs
-            # The parse is timed only when it will be recorded: with the
-            # hub disabled a statement reads no clock.
             enabled = obs.enabled
-            parse_start = obs.metrics.timer() if enabled else 0.0
-            statement = self._parse(sql_text)
-            parse_end = obs.metrics.timer() if enabled else 0.0
+            # The parse is timed only when it will be recorded: with the
+            # hub disabled, or for a root-only statement, no clock is read.
+            tree = enabled and (
+                session.trace_id is not None
+                or obs.events.slow_query_threshold_ms is not None
+            )
+            parse_start = obs.metrics.timer() if tree else 0.0
+            statement, shape = self._parse(sql_text)
+            parse_end = obs.metrics.timer() if tree else 0.0
             if isinstance(statement, ast.Admin):
                 # Admin statements inspect observability state: they run
                 # unspanned (SHOW SPANS never renders its own half-open
@@ -429,11 +444,12 @@ class DatabaseServer:
                     attrs["parent_span_id"] = session.parent_span_id
             root = None
             try:
-                with obs.span("sql." + kind, **attrs) as span:
+                with obs.spans.statement("sql." + kind, attrs, tree) as span:
                     root = span
-                    obs.spans.add_completed_child(
-                        "sql.parse", parse_start, parse_end
-                    )
+                    if tree:
+                        obs.spans.add_completed_child(
+                            "sql.parse", parse_start, parse_end
+                        )
                     result = self.executor.execute(statement, session)
             except SimulatedCrash:
                 # The engine "died" mid-statement: a real crash records
@@ -445,27 +461,32 @@ class DatabaseServer:
                     fault_point = getattr(exc, "point", None)
                     if fault_point is not None:
                         root.attrs["fault"] = fault_point
-                    self._record_statement(session, sql_text, root, None, exc)
+                    self._record_statement(
+                        session, sql_text, shape, root, None, exc
+                    )
                 raise
             self._maybe_log_ddl(statement, sql_text)
             obs.metrics.observe("sql.statement_seconds", root.duration)
-            self._record_statement(session, sql_text, root, result, None)
+            self._record_statement(session, sql_text, shape, root, result, None)
             return result
 
     def _record_statement(
-        self, session: Session, sql_text: str, root, result: Any, exc
+        self, session: Session, sql_text: str, shape, root, result: Any, exc
     ) -> None:
         """Fold one finished statement (its root span is closed, so its
-        metric deltas are final) into the workload model and event log."""
+        metric deltas are final) into the workload model and event log;
+        drop the tree of a statement that was neither traced, slow nor
+        failed."""
         obs = self.obs
         session.last_root_span = root
         duration = root.duration
         rows = len(result) if isinstance(result, list) else None
         if exc is not None:
             obs.metrics.inc("sql.errors_total")
-        obs.workload.observe(
+        stats = obs.workload.observe(
             sql_text,
             duration,
+            shape=shape,
             rows=rows,
             deltas=root.metric_deltas,
             error=exc is not None,
@@ -474,10 +495,12 @@ class DatabaseServer:
         threshold = events.slow_query_threshold_ms
         slow = threshold is not None and duration * 1000.0 >= threshold
         if exc is None and not slow:
+            if session.trace_id is None:
+                root.children.clear()
             return
         fields: Dict[str, Any] = {
             "sql": sql_text,
-            "fingerprint": workload_fingerprint(sql_text),
+            "fingerprint": stats.fingerprint,
             "duration_ms": duration * 1000.0,
         }
         if session.connection_id is not None:

@@ -307,6 +307,10 @@ class WriteAheadLog:
         return self._records[lsn:]
 
     def records_for(self, txn_id: int) -> List[LogRecord]:
+        """*txn_id*'s records, oldest first; a transaction still pending
+        (begun, nothing logged) has none, so the log is not scanned."""
+        if txn_id in self._pending:
+            return []
         return [r for r in self._records if r.txn_id == txn_id]
 
     def is_committed(self, txn_id: int) -> bool:

@@ -207,6 +207,13 @@ class TestPlanRouting:
     """The optimizer + scan-routing contract, asserted on span
     attributes and plan objects -- never on timing."""
 
+    @staticmethod
+    def spanned_server():
+        """:func:`make_server`, keeping every statement's span tree."""
+        server = make_server()
+        server.execute("SET SLOW QUERY THRESHOLD 0")
+        return server
+
     def scan_span(self, server):
         root = server.obs.spans.last_root("sql.select")
         assert root is not None
@@ -215,7 +222,7 @@ class TestPlanRouting:
         return span
 
     def test_equality_takes_the_hash_path(self):
-        server = make_server()
+        server = self.spanned_server()
         server.execute("INSERT INTO th VALUES (5, 'five')")
         rows = server.execute("SELECT v FROM th WHERE k = 5")
         assert [row["v"] for row in rows] == ["five"]
@@ -226,7 +233,7 @@ class TestPlanRouting:
         assert "path='hash'" in server.execute("SHOW SPANS")
 
     def test_range_takes_the_tree_path(self):
-        server = make_server()
+        server = self.spanned_server()
         for i in range(10):
             server.execute(f"INSERT INTO th VALUES ({i}, 'r{i}')")
         rows = server.execute("SELECT v FROM th WHERE k >= 3 AND k <= 6")
@@ -235,7 +242,7 @@ class TestPlanRouting:
         assert "path='tree'" in server.execute("SHOW SPANS")
 
     def test_disjunction_mixes_both_paths(self):
-        server = make_server()
+        server = self.spanned_server()
         for i in range(10):
             server.execute(f"INSERT INTO th VALUES ({i}, 'r{i}')")
         rows = server.execute("SELECT v FROM th WHERE k = 1 OR k > 7")
@@ -258,7 +265,7 @@ class TestPlanRouting:
         assert isinstance(plan, IndexScanPlan) and plan.index.name == "hi"
 
     def test_hash_path_off_routes_equality_to_the_tree(self):
-        server = make_server()
+        server = self.spanned_server()
         server.execute(
             "CREATE INDEX hoff ON ts(k) USING hblade_am IN spc "
             "WITH (hash_path = 'off')"
@@ -272,7 +279,7 @@ class TestPlanRouting:
         """A point probe racing an in-flight structure modification on
         the same key must not trust the hash directory: the precision
         guard forces the tree path, which still finds the row."""
-        server = make_server()
+        server = self.spanned_server()
         server.execute("INSERT INTO th VALUES (3, 'three')")
         guard = server.hblade._guard("hi")
         key = server.catalog.types.get("INTEGER").send(3)

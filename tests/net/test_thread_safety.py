@@ -116,7 +116,7 @@ class TestStatementCache:
             rng = random.Random(index)
             for _ in range(400):
                 sql = rng.choice(texts)
-                statement = db._parse(sql)
+                statement, _ = db._parse(sql)
                 assert statement is not None
 
         hammer(worker)

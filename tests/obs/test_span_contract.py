@@ -11,6 +11,9 @@ DELETE.  After every statement this module checks, against constants:
 * the ``am.calls`` and ``am.calls.<slot>`` counters.
 
 How spans collect their figures may change; these figures may not.  The
+script runs twice: with ``SET SLOW QUERY THRESHOLD 0``, so every
+statement keeps its span tree, and with no threshold, so every root is
+recorded alone -- nothing below it, every other figure the same.  The
 statement cache is off, so a statement's figures do not depend on which
 statement texts ran before it.  Without numpy the GR-tree's
 specialization counters (``spec.*``) stay at zero and drop out of the
@@ -63,8 +66,9 @@ def load_lines():
     return lines
 
 
-def run_script(tmp_path):
-    """Run :data:`SCRIPT`; one record per statement."""
+def run_script(tmp_path, threshold=None):
+    """Run :data:`SCRIPT` under ``SET SLOW QUERY THRESHOLD`` *threshold*
+    (none when ``None``); one record per statement."""
     path = tmp_path / "rows.unl"
     path.write_text("".join(line + "\n" for line in load_lines()))
     server = DatabaseServer(statement_cache_size=0)
@@ -75,6 +79,8 @@ def run_script(tmp_path):
     server.prefer_virtual_index = True
     server.clock.set_text("01/05/98")
     server.obs.reset()
+    if threshold is not None:
+        server.execute(f"SET SLOW QUERY THRESHOLD {threshold}")
     records = []
     for sql in SCRIPT:
         server.execute(sql.replace(LOAD_FILE, str(path)))
@@ -153,12 +159,25 @@ def expected_records():
 
 
 def test_every_statement_reports_what_it_did(tmp_path):
-    records = run_script(tmp_path)
+    records = run_script(tmp_path, threshold=0)
     expected = expected_records()
     assert len(records) == len(expected) == len(SCRIPT)
     for sql, got, want in zip(SCRIPT, records, expected):
         for field in want:
             assert got[field] == want[field], (sql, field)
+
+
+def test_root_only_records_report_the_same_figures(tmp_path):
+    """No threshold, no trace context: each root is recorded alone and
+    still carries every figure of the captured leg."""
+    records = run_script(tmp_path)
+    expected = expected_records()
+    assert len(records) == len(expected) == len(SCRIPT)
+    for sql, got, want in zip(SCRIPT, records, expected):
+        assert got["below"] == set(), sql
+        for field in want:
+            if field != "below":
+                assert got[field] == want[field], (sql, field)
 
 
 #: Per statement of :data:`SCRIPT`: the root span's name, its metric

@@ -27,7 +27,7 @@ class TestSpanTrees:
         ]
         assert root.find("buffer.read") is not None
         assert root.find("nope") is None
-        assert recorder.roots == [root]
+        assert list(recorder.roots) == [root]
         assert recorder.current is None
 
     def test_durations_use_injected_timer(self, recorder):
@@ -92,7 +92,7 @@ class TestObservabilityGating:
         with obs.span("root") as span:
             assert span is None
         assert obs.metrics.snapshot() == {}
-        assert obs.spans.roots == []
+        assert list(obs.spans.roots) == []
 
     def test_disabled_span_is_shared_noop(self):
         obs = Observability(enabled=False)
@@ -114,5 +114,5 @@ class TestObservabilityGating:
             pass
         obs.reset()
         assert obs.metrics.counter("c") == 0
-        assert obs.spans.roots == []
+        assert list(obs.spans.roots) == []
         assert obs.metrics.snapshot() == {"p.x": 1}

@@ -66,6 +66,7 @@ class TestShowStats:
 
 class TestSpans:
     def test_select_produces_a_span_tree(self, server):
+        server.execute("SET SLOW QUERY THRESHOLD 0")  # keep every tree
         rows = server.execute(f"SELECT n FROM e WHERE Overlaps(te, {EXTENT})")
         assert len(rows) == 8
         root = server.obs.spans.last_root("sql.select")

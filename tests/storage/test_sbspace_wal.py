@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.server import DatabaseServer
 from repro.storage.locks import (
     IsolationLevel,
     LockConflictError,
@@ -181,6 +182,42 @@ class TestRollback:
         space.rollback(2)
         wal.log_abort(2)
         assert blob.page_count == 0
+
+    @pytest.mark.parametrize("records", [100, 10_000])
+    def test_empty_rollback_visits_no_record(self, records):
+        """A transaction that logged nothing is still pending in the
+        log; rolling it back reads no record however long the log is."""
+        server = DatabaseServer()
+        server.create_sbspace("spc")
+        server.create_sbspace("spc2")
+        wal = server.wal
+        txn = server.next_txn_id()
+        wal.log_begin(txn)
+        for page in range(records - 2):
+            wal.log_page_alloc(txn, "lo", page)
+        wal.log_commit(txn)
+        wal._records = VisitCounter(wal._records)
+        assert wal.last_lsn() == records - 1
+        epoch = server.storage_epoch
+        server.execute("BEGIN WORK")
+        server.execute("ROLLBACK WORK")
+        assert wal._records.visited == 0
+        # Dirty frames a failed statement left behind have no record:
+        # cached index handles must still drop their pools.
+        assert server.storage_epoch == epoch + 1
+        assert len(wal.records_for(txn)) == records
+        assert wal._records.visited == records
+
+
+class VisitCounter(list):
+    """A record list that counts the records iterated over."""
+
+    visited = 0
+
+    def __iter__(self):
+        for record in list.__iter__(self):
+            self.visited += 1
+            yield record
 
 
 class TestCrashRecovery:
